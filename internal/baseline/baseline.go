@@ -126,6 +126,7 @@ type pmtWL struct {
 	w            *trace.Workload
 	stats        *metrics.WorkloadStats
 	requestNo    int
+	stream       trace.OpStream
 	ops          []trace.Op
 	opIdx        int
 	requestStart int64
@@ -249,11 +250,9 @@ type pmtRunner struct {
 }
 
 func (wl *pmtWL) loadRequest(cfg npu.CoreConfig, tenants int) {
-	g := wl.w.Request(wl.requestNo)
 	// PMT also partitions vector memory among resident workloads: the whole
 	// point of its heavy context switch is keeping all tenants resident.
-	g = trace.TileForVMem(g, cfg.VMemBytes/int64(tenants), 0.5)
-	wl.ops = g.Linearize()
+	wl.ops = wl.stream.Load(wl.w, wl.requestNo, cfg.VMemBytes/int64(tenants), 0.5)
 	wl.opIdx = 0
 	wl.remainingCompute = -1
 	wl.remainingStall = -1

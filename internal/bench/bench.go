@@ -371,9 +371,10 @@ func (s *Snapshot) Write(path string) error {
 }
 
 // Check compares a fresh run against a committed snapshot and returns one
-// error per scenario whose throughput regressed by more than Tolerance.
-// Scenarios present in only one of the two are reported, not failed: adding a
-// scenario must not break the gate before its snapshot lands.
+// error per committed scenario that is missing from the run, simulated a
+// different number of cycles (the throughputs would not compare equal work),
+// or regressed by more than Tolerance. A scenario only the run has passes:
+// adding a scenario must not break the gate before its snapshot lands.
 //
 // When both snapshots carry a calibration measurement, the current throughputs
 // are first scaled by committed/current calibration so the floor compares
@@ -392,6 +393,13 @@ func Check(current, committed *Snapshot) []error {
 	for _, want := range committed.Scenarios {
 		got, ok := cur[want.Name]
 		if !ok {
+			errs = append(errs, fmt.Errorf("bench %s: committed scenario %s is missing from the run",
+				committed.Suite, want.Name))
+			continue
+		}
+		if got.Cycles != want.Cycles {
+			errs = append(errs, fmt.Errorf("bench %s: %s simulated %d cycles, committed %d: not the same work",
+				committed.Suite, want.Name, got.Cycles, want.Cycles))
 			continue
 		}
 		floor := want.CyclesPerSec * (1 - Tolerance)

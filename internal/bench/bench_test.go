@@ -7,10 +7,27 @@ import (
 	"testing"
 )
 
+// simCycles and fleetCycles pin each suite scenario's exact simulated cycle
+// count. The suites are deterministic, and the committed BENCH_*.json gates
+// compare throughput only at these counts — any drift means the engine's
+// arithmetic changed.
+var (
+	simCycles = map[string]int64{
+		"pair-full":     397_582_373,
+		"pair-base":     337_434_542,
+		"quad-full":     246_450_849,
+		"pair-nohbm":    383_825_090,
+		"preempt-heavy": 195_611_698,
+		"open-loop":     299_555_291,
+	}
+	fleetCycles = map[string]int64{
+		"fleet-8c16t":       394_010_664,
+		"fleet-serial-4c8t": 131_795_707,
+	}
+)
+
 // TestRunSimSuite executes the committed single-core suite once and checks
-// every scenario produced work. Cycle counts are pinned exactly: the suite is
-// deterministic, and these are the numbers the committed BENCH_sim.json gate
-// was measured against — any drift means the engine's arithmetic changed.
+// every scenario produced work at exactly its pinned cycle count.
 func TestRunSimSuite(t *testing.T) {
 	s, err := RunSim(1)
 	if err != nil {
@@ -19,14 +36,7 @@ func TestRunSimSuite(t *testing.T) {
 	if s.Suite != "sim" {
 		t.Fatalf("suite = %q, want sim", s.Suite)
 	}
-	wantCycles := map[string]int64{
-		"pair-full":     397_582_373,
-		"pair-base":     337_434_542,
-		"quad-full":     246_450_849,
-		"pair-nohbm":    383_825_090,
-		"preempt-heavy": 195_611_698,
-		"open-loop":     299_555_291,
-	}
+	wantCycles := simCycles
 	if len(s.Scenarios) != len(wantCycles) {
 		t.Fatalf("got %d scenarios, want %d", len(s.Scenarios), len(wantCycles))
 	}
@@ -53,10 +63,7 @@ func TestRunFleetSuite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantCycles := map[string]int64{
-		"fleet-8c16t":       394_010_664,
-		"fleet-serial-4c8t": 131_795_707,
-	}
+	wantCycles := fleetCycles
 	for _, r := range s.Scenarios {
 		if want := wantCycles[r.Name]; r.Cycles != want {
 			t.Errorf("%s simulated %d cycles, want exactly %d", r.Name, r.Cycles, want)
@@ -128,21 +135,48 @@ func TestSnapshotRoundTrip(t *testing.T) {
 
 func TestCheckRegressionGate(t *testing.T) {
 	committed := &Snapshot{Suite: "sim", Scenarios: []Result{
-		{Name: "a", CyclesPerSec: 100},
-		{Name: "b", CyclesPerSec: 100},
-		{Name: "retired", CyclesPerSec: 100},
+		{Name: "a", Cycles: 10, CyclesPerSec: 100},
+		{Name: "b", Cycles: 10, CyclesPerSec: 100},
+		{Name: "drifted", Cycles: 10, CyclesPerSec: 100},
+		{Name: "retired", Cycles: 10, CyclesPerSec: 100},
 	}}
 	current := &Snapshot{Scenarios: []Result{
-		{Name: "a", CyclesPerSec: 86},    // within 15% tolerance
-		{Name: "b", CyclesPerSec: 84},    // regressed
-		{Name: "added", CyclesPerSec: 1}, // not yet committed: ignored
+		{Name: "a", Cycles: 10, CyclesPerSec: 86},        // within 15% tolerance
+		{Name: "b", Cycles: 10, CyclesPerSec: 84},        // regressed
+		{Name: "drifted", Cycles: 11, CyclesPerSec: 200}, // faster, but different work
+		{Name: "added", Cycles: 1, CyclesPerSec: 1},      // not yet committed: ignored
 	}}
 	errs := Check(current, committed)
-	if len(errs) != 1 {
-		t.Fatalf("Check returned %d errors (%v), want exactly 1", len(errs), errs)
+	want := []string{"b regressed", "drifted simulated 11 cycles, committed 10", "retired is missing"}
+	if len(errs) != len(want) {
+		t.Fatalf("Check returned %d errors (%v), want %d", len(errs), errs, len(want))
 	}
-	if !strings.Contains(errs[0].Error(), "b regressed") {
-		t.Fatalf("wrong scenario flagged: %v", errs[0])
+	for i, w := range want {
+		if !strings.Contains(errs[i].Error(), w) {
+			t.Errorf("error %d = %v, want it to mention %q", i, errs[i], w)
+		}
+	}
+}
+
+// The committed snapshots must pass the cycle-count gate: each holds
+// exactly the suite's scenarios at their pinned counts.
+func TestCommittedSnapshotsMatchPins(t *testing.T) {
+	for path, pins := range map[string]map[string]int64{
+		"BENCH_sim.json":   simCycles,
+		"BENCH_fleet.json": fleetCycles,
+	} {
+		s, err := Load(filepath.Join("..", "..", path))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(s.Scenarios) != len(pins) {
+			t.Errorf("%s: %d scenarios, want %d", path, len(s.Scenarios), len(pins))
+		}
+		for _, r := range s.Scenarios {
+			if want, ok := pins[r.Name]; !ok || r.Cycles != want {
+				t.Errorf("%s: %s committed %d cycles, want %d", path, r.Name, r.Cycles, want)
+			}
+		}
 	}
 }
 

@@ -48,7 +48,7 @@ func ExtractFeatures(w *trace.Workload, cfg npu.CoreConfig, n int) Features {
 	var sa, vu, serial, bytes float64
 	var meanSA, meanVU, maxSA, maxVU float64
 	for r := 0; r < n; r++ {
-		st := w.Request(r).ComputeStats()
+		st := w.Request(r).OperatorStats()
 		// Useful cycles: what hardware performance counters expose. The
 		// heuristic baseline therefore under-estimates occupancy conflicts —
 		// the paper's 57.6% false-positive rate comes from exactly this gap.

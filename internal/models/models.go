@@ -139,11 +139,15 @@ func Specs() []Spec {
 	}
 }
 
+// specTable is one shared copy of Specs for lookups, so ByName and Names do
+// not rebuild the table per call.
+var specTable = Specs()
+
 // ByName returns the spec whose Name or Abbrev matches (case-sensitive).
 func ByName(name string) (Spec, bool) {
-	for _, s := range Specs() {
-		if s.Name == name || s.Abbrev == name {
-			return s, true
+	for i := range specTable {
+		if s := &specTable[i]; s.Name == name || s.Abbrev == name {
+			return *s, true
 		}
 	}
 	return Spec{}, false
@@ -151,9 +155,8 @@ func ByName(name string) (Spec, bool) {
 
 // Names returns the model names in Table 4 order.
 func Names() []string {
-	specs := Specs()
-	out := make([]string, len(specs))
-	for i, s := range specs {
+	out := make([]string, len(specTable))
+	for i, s := range specTable {
 		out[i] = s.Name
 	}
 	return out

@@ -32,7 +32,7 @@ type wlState struct {
 	priority float64
 
 	requestNo    int
-	gscratch     *trace.Graph // reusable request-graph buffer (RequestInto)
+	stream       trace.OpStream
 	ops          []trace.Op
 	opIdx        int
 	phase        phase
@@ -468,10 +468,6 @@ func (r *runner) sampleCounters(now int64) {
 // arrivedAt is when the request entered the system (equals now in the
 // closed loop; earlier under open-loop queueing).
 func (r *runner) startRequest(wl *wlState, now, arrivedAt int64) {
-	g, owned := wl.w.RequestInto(wl.requestNo, wl.gscratch)
-	if owned {
-		wl.gscratch = g
-	}
 	part := wl.vmemPart
 	if f := r.vmemFactorAt(now); f < 1 {
 		part = int64(float64(part) * f)
@@ -479,15 +475,7 @@ func (r *runner) startRequest(wl *wlState, now, arrivedAt int64) {
 			part = 1
 		}
 	}
-	tiled := trace.TileForVMem(g, part, r.opts.VMemReloadFactor)
-	if owned || tiled != g {
-		// The graph's storage is private to this workload (reused scratch or a
-		// freshly tiled copy) and already in ID order, so the operator stream
-		// is the Ops slice itself — no copy, no sort.
-		wl.ops = tiled.Ops
-	} else {
-		wl.ops = tiled.LinearizeInto(wl.ops[:0])
-	}
+	wl.ops = wl.stream.Load(wl.w, wl.requestNo, part, r.opts.VMemReloadFactor)
 	if len(wl.ops) == 0 {
 		panic(fmt.Sprintf("sched: workload %s produced an empty request", wl.w.Name))
 	}

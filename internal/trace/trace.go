@@ -172,6 +172,15 @@ type Stats struct {
 
 // ComputeStats extracts Stats from the graph.
 func (g *Graph) ComputeStats() Stats {
+	s := g.OperatorStats()
+	s.CriticalPathCycles = g.CriticalPathCycles()
+	return s
+}
+
+// OperatorStats is ComputeStats without CriticalPathCycles (left zero): the
+// per-operator sums and extremes, computed without the per-op scratch the
+// dependency walk allocates.
+func (g *Graph) OperatorStats() Stats {
 	var s Stats
 	s.MinSALen, s.MinVULen = -1, -1
 	for _, op := range g.Ops {
@@ -217,7 +226,6 @@ func (g *Graph) ComputeStats() Stats {
 		s.MinVULen = 0
 	}
 	s.SerialCycles = g.SerialCycles()
-	s.CriticalPathCycles = g.CriticalPathCycles()
 	return s
 }
 

@@ -120,8 +120,13 @@ func TestComputeStats(t *testing.T) {
 	if s.FLOPs != 1040 || s.HBMBytes != 72 || s.MaxVMemBytes != 1<<20 {
 		t.Fatalf("resource stats wrong: %+v", s)
 	}
-	if s.SerialCycles != 430 {
-		t.Fatalf("serial cycles = %d", s.SerialCycles)
+	if s.SerialCycles != 430 || s.CriticalPathCycles != 430 {
+		t.Fatalf("serial/critical-path cycles = %d/%d", s.SerialCycles, s.CriticalPathCycles)
+	}
+	// OperatorStats is the same minus the dependency walk.
+	s.CriticalPathCycles = 0
+	if o := g.OperatorStats(); o != s {
+		t.Fatalf("OperatorStats %+v, want %+v", o, s)
 	}
 }
 

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"fmt"
+	"sync"
 
 	"v10/internal/mathx"
 )
@@ -16,8 +17,60 @@ type Workload struct {
 	Batch    int     // inference batch size
 	Priority float64 // relative scheduling priority (> 0); 1 is default
 
-	gen     func(request int) *Graph
+	gen     func(request int) *Graph // plain generator (NewWorkload)
 	genInto func(request int, g *Graph) *Graph
+	// memo holds the request graphs genInto already produced. It is a
+	// pointer so shallow copies (WithPriority, callers' struct copies) share
+	// one memo and copying a Workload copies no lock.
+	memo *graphMemo
+}
+
+// memoBudgetOps caps the operators one workload's memo holds: 2^16 ops is
+// about 6 MB at 96 B per Op. It covers every request a fleet run or a tuner
+// generation revisits; only the long single-tenant tails of the largest
+// models (DLRM, RetinaNet) run past it, onto the scratch path.
+const memoBudgetOps = 1 << 16
+
+// graphMemo is a goroutine-safe memo of a dense prefix of a workload's
+// request graphs: graphs[i] is request i. Memoized graphs are shared by
+// every caller and never written after they are stored.
+type graphMemo struct {
+	mu     sync.Mutex
+	graphs []*Graph
+	ops    int  // operators held across graphs, at most memoBudgetOps
+	full   bool // request len(graphs) did not fit: the prefix is final
+}
+
+// lookup returns request i's memoized graph, or nil. grow reports that i is
+// the next request of an open prefix, so a fresh graph for it may be added.
+func (m *graphMemo) lookup(i int) (g *Graph, grow bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if i < len(m.graphs) {
+		return m.graphs[i], false
+	}
+	return nil, i == len(m.graphs) && !m.full
+}
+
+// add memoizes fresh as request i, the next request of the prefix, unless
+// it would take the memo past its budget, which closes the prefix. It
+// returns the memoized graph (a concurrent caller's, if it added request i
+// first) or nil when fresh stays with the caller.
+func (m *graphMemo) add(i int, fresh *Graph) *Graph {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	switch {
+	case i < len(m.graphs):
+		return m.graphs[i]
+	case m.full:
+		return nil
+	case m.ops+len(fresh.Ops) > memoBudgetOps:
+		m.full = true
+		return nil
+	}
+	m.graphs = append(m.graphs, fresh)
+	m.ops += len(fresh.Ops)
+	return fresh
 }
 
 // NewWorkload builds a workload around a request-graph generator. gen must be
@@ -29,7 +82,8 @@ func NewWorkload(name, model string, batch int, gen func(request int) *Graph) *W
 	return &Workload{Name: name, Model: model, Batch: batch, Priority: 1, gen: gen}
 }
 
-// WithPriority returns a shallow copy of w with the given priority.
+// WithPriority returns a shallow copy of w with the given priority. The copy
+// shares w's request-graph memo.
 func (w *Workload) WithPriority(p float64) *Workload {
 	if p <= 0 {
 		panic(fmt.Sprintf("trace: non-positive priority %v", p))
@@ -46,33 +100,82 @@ func (w *Workload) WithPriority(p float64) *Workload {
 // apart from the passed-in buffer, so concurrent callers with distinct
 // scratch graphs are safe (the fleet runs cores in parallel against shared
 // Workload values).
+//
+// The workload memoizes the graphs it generates, up to a fixed operator
+// budget, so a request served again (by another run, core or profile pass)
+// is not regenerated. Every graph it returns is then either caller-owned or
+// a shared memoized graph that nobody writes (see RequestInto).
 func NewWorkloadReusable(name, model string, batch int, genInto func(request int, g *Graph) *Graph) *Workload {
 	if genInto == nil {
 		panic("trace: nil workload generator")
 	}
 	return &Workload{
 		Name: name, Model: model, Batch: batch, Priority: 1,
-		gen:     func(i int) *Graph { return genInto(i, nil) },
 		genInto: genInto,
+		memo:    &graphMemo{},
 	}
 }
 
-// Request returns the operator graph for the i-th request (0-based).
+// Request returns the operator graph for the i-th request (0-based). The
+// graph may be shared with other callers: treat it as read-only.
 func (w *Workload) Request(i int) *Graph {
-	return w.gen(i)
+	g, _ := w.RequestInto(i, nil)
+	return g
 }
 
 // RequestInto returns the i-th request graph, reusing the caller-owned
 // scratch graph g when the workload's generator supports it. The boolean
 // reports whether the caller owns the returned graph's storage: true means
 // it is private to the caller (safe to alias its Ops and to pass back as
-// scratch for the next request), false means the graph came from a plain
-// generator and may be shared — copy before mutating or retaining.
+// scratch for the next request), false means the graph may be shared — an
+// immutable memoized graph, or a plain generator's graph (NewWorkload),
+// which carries no immutability promise — so the caller must not write it
+// or pass it back as scratch.
 func (w *Workload) RequestInto(i int, g *Graph) (*Graph, bool) {
-	if w.genInto != nil {
+	if w.genInto == nil {
+		return w.gen(i), false
+	}
+	shared, grow := w.memo.lookup(i)
+	if shared != nil {
+		return shared, false
+	}
+	if !grow {
+		// Past the memo: generate into the caller's scratch.
 		return w.genInto(i, g), true
 	}
-	return w.gen(i), false
+	fresh := w.genInto(i, nil)
+	if shared := w.memo.add(i, fresh); shared != nil {
+		return shared, false
+	}
+	return fresh, true
+}
+
+// OpStream hands a runner the operator streams of one workload's successive
+// requests, keeping the buffers it reuses between them: caller-owned scratch
+// for requests past the memo, and a copy buffer for plain generators.
+type OpStream struct {
+	scratch *Graph
+	buf     []Op
+}
+
+// Load returns request i of w tiled for a vector-memory partition (see
+// TileForVMem), in execution order. A private graph (scratch or a fresh
+// tiling) or an immutable memoized one is aliased, not copied; only a plain
+// generator's graph is copied. The slice is valid until the next Load and
+// must not be written.
+func (s *OpStream) Load(w *Workload, i int, partition int64, reloadFactor float64) []Op {
+	g, owned := w.RequestInto(i, s.scratch)
+	if owned {
+		s.scratch = g
+	}
+	tiled := TileForVMem(g, partition, reloadFactor)
+	if owned || tiled != g || w.memo != nil {
+		// Generated and tiled graphs carry dense ascending IDs, so the
+		// stream is the Ops slice itself — no copy, no sort.
+		return tiled.Ops
+	}
+	s.buf = tiled.LinearizeInto(s.buf[:0])
+	return s.buf
 }
 
 // TileForVMem rewrites g so that no operator's vector-memory footprint
