@@ -541,6 +541,30 @@ func TestRunWithTunedPolicy(t *testing.T) {
 	}
 }
 
+// TestRunAdvisorTunedEmitsGoldenSummary pins the advisor+tuned run, where
+// the order matters: the advisor's model must be on the options before the
+// knobs apply, or the tuned collocation threshold is dropped.
+func TestRunAdvisorTunedEmitsGoldenSummary(t *testing.T) {
+	policy := filepath.Join("..", "..", "results", "tuned_policy.json")
+	var stdout, stderr bytes.Buffer
+	if code := run(quickArgs("-policy", "advisor", "-tenants", "4", "-tuned", policy), &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d\n%s", code, stderr.String())
+	}
+	golden := filepath.Join("testdata", "summary.advisor-tuned.golden.json")
+	if *update {
+		if err := os.WriteFile(golden, stdout.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("%v (run with -update to regenerate)", err)
+	}
+	if !bytes.Equal(stdout.Bytes(), want) {
+		t.Fatalf("advisor+tuned summary drifted from golden (run with -update if intended):\n%s", stdout.String())
+	}
+}
+
 func TestRunWithFeedbackRounds(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	if code := run(quickArgs("-feedback-rounds", "1"), &stdout, &stderr); code != 0 {
