@@ -1,63 +1,68 @@
 package v10
 
 import (
+	"fmt"
 	"io"
 
-	"v10/internal/cluster"
-	"v10/internal/collocate"
+	"v10/internal/baseline"
 	"v10/internal/trace"
 )
 
-// Placement assigns workload indices to NPU cores (§3.5): Placement[c]
-// lists the workloads collocated on core c.
-type Placement = cluster.Placement
-
 // ClusterResult summarizes a multi-core simulation.
-type ClusterResult = cluster.Result
-
-// ClusterOptions configure SimulateCluster.
-type ClusterOptions struct {
-	Config   Config
-	Requests int
-	// UsePMT runs the PMT baseline on every core instead of V10-Full.
-	UsePMT bool
-	Seed   uint64
+type ClusterResult struct {
+	PerCore     []*Result
+	Normalized  []float64 // per-workload normalized progress (vs dedicated core)
+	TotalSTP    float64   // Σ Normalized: workloads' worth of progress delivered
+	CoresUsed   int
+	AggUtil     float64 // mean aggregate compute utilization across cores
+	WorstTenant float64 // minimum normalized progress across all workloads
 }
 
-// NaivePlacement pairs workloads blindly in order — the baseline the
-// clustering mechanism improves on.
-func NaivePlacement(n int) Placement { return cluster.NaivePlacement(n) }
-
-// PlanPlacement builds a full cluster placement from the advisor: the best
-// compatible pairs share cores, the rest run dedicated.
-func (a *Advisor) PlanPlacement(ws []*Workload) Placement {
-	return cluster.AdvisorPlacement(a.model, a.features(ws))
-}
-
-// PlanGroups generalizes PlanPlacement to up to maxPerCore tenants per core
-// (the paper's §5.9 deployments host "two or more" workloads per core).
-func (a *Advisor) PlanGroups(ws []*Workload, maxPerCore int) Placement {
-	return cluster.AdvisorGroups(a.model, a.features(ws), maxPerCore)
-}
-
-func (a *Advisor) features(ws []*Workload) []collocate.Features {
-	feats := make([]collocate.Features, len(ws))
-	for i, w := range ws {
-		feats[i] = collocate.ExtractFeatures(w, a.cfg, a.requests)
+// SimulateCluster runs every core of the placement under the scheme and
+// aggregates cluster-level metrics: total normalized progress, mean
+// utilization, and the worst tenant. Each core is an independent NPU with
+// its own HBM (the paper's §3.5 deployment); core c runs Collocate with seed
+// opt.Seed+c, and progress is normalized by each workload's rate on a
+// dedicated core.
+func SimulateCluster(ws []*Workload, p Placement, scheme Scheme, opt Options) (*ClusterResult, error) {
+	if err := p.Validate(len(ws)); err != nil {
+		return nil, err
 	}
-	return feats
-}
-
-// SimulateCluster runs every core of the placement (each core is an
-// independent NPU with its own HBM) and aggregates cluster-level metrics:
-// total normalized progress, mean utilization, and the worst tenant.
-func SimulateCluster(ws []*Workload, p Placement, opt ClusterOptions) (*ClusterResult, error) {
-	return cluster.Run(ws, p, cluster.Options{
-		Config:   opt.Config,
-		Requests: opt.Requests,
-		UsePMT:   opt.UsePMT,
-		Seed:     opt.Seed,
-	})
+	if opt.Requests <= 0 {
+		opt.Requests = 20
+	}
+	res := &ClusterResult{Normalized: make([]float64, len(ws)), CoresUsed: p.Cores()}
+	seed := opt.Seed
+	for c, group := range p {
+		core := make([]*Workload, len(group))
+		for k, idx := range group {
+			core[k] = ws[idx]
+		}
+		rates, err := baseline.SingleTenantRates(core, opt.config(), opt.Requests)
+		if err != nil {
+			return nil, fmt.Errorf("v10: core %d: %w", c, err)
+		}
+		opt.Seed = seed + uint64(c)
+		run, err := Collocate(core, scheme, opt)
+		if err != nil {
+			return nil, fmt.Errorf("v10: core %d: %w", c, err)
+		}
+		res.PerCore = append(res.PerCore, run)
+		res.AggUtil += run.AggregateUtil()
+		for k, norm := range run.NormalizedProgress(rates) {
+			res.Normalized[group[k]] = norm
+			res.TotalSTP += norm
+		}
+	}
+	if len(p) > 0 {
+		res.AggUtil /= float64(len(p))
+	}
+	for i, norm := range res.Normalized {
+		if i == 0 || norm < res.WorstTenant {
+			res.WorstTenant = norm
+		}
+	}
+	return res, nil
 }
 
 // TraceFile is a recorded, replayable operator trace — this repository's

@@ -377,6 +377,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	opt := v10.FleetOptions{
 		Config:         cfg,
 		Cores:          *cores,
+		Scheme:         scheme.String(),
 		Policy:         pol,
 		RateHz:         *rate,
 		DurationCycles: *duration,
@@ -398,7 +399,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		Recluster:     *recluster,
 
 		FeedbackRounds: *feedback,
-		Tuned:          tuned,
 	}
 	if *autoscale > 0 {
 		opt.Elastic = &v10.ElasticConfig{
@@ -425,7 +425,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, err)
 			return 1
 		}
-		opt.Advisor = adv
+		opt = adv.Apply(opt)
+	}
+	if tuned != nil {
+		// After the advisor: the knobs' collocation threshold only applies
+		// to a run that carries a model.
+		opt = tuned.Apply(opt)
 	}
 	var tracer *v10.ChromeTrace
 	if *traceOut != "" {
@@ -436,7 +441,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		opt.Counters = v10.NewCounterLog()
 	}
 
-	res, runErr := v10.ServeFleet(ws, scheme, opt)
+	res, runErr := v10.ServeFleet(ws, opt)
 	if runErr != nil && res == nil {
 		fmt.Fprintln(stderr, runErr)
 		return 1
@@ -525,7 +530,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		baseOpt.Faults = nil
 		baseOpt.Tracer = nil
 		baseOpt.Counters = nil
-		baseRes, baseErr := v10.ServeFleet(ws, scheme, baseOpt)
+		baseRes, baseErr := v10.ServeFleet(ws, baseOpt)
 		if baseErr != nil && baseRes == nil {
 			fmt.Fprintln(stderr, baseErr)
 			return 1

@@ -1,8 +1,6 @@
 package v10
 
 import (
-	"fmt"
-
 	"v10/internal/ctlplane"
 	"v10/internal/faults"
 	"v10/internal/fleet"
@@ -121,203 +119,19 @@ type FleetTenantStats = fleet.TenantStats
 // FleetCoreResult is one core's simulation outcome within a fleet run.
 type FleetCoreResult = fleet.CoreResult
 
-// FleetOptions configure ServeFleet. The zero value serves two cores under
-// least-loaded placement at the built-in default load.
-type FleetOptions struct {
-	Config Config // zero value → DefaultConfig
-
-	// Cores is the number of independent NPU cores (default 2).
-	Cores int
-
-	// Policy picks tenant placement (default PlaceLeastLoaded).
-	// PlaceAdvisor requires Advisor.
-	Policy FleetPolicy
-
-	// Advisor is the trained collocation advisor PlaceAdvisor places with
-	// (and whose model gates spill compatibility). Other policies ignore it.
-	Advisor *Advisor
-
-	// RateHz is each tenant's open-loop Poisson arrival rate (default 60).
-	RateHz float64
-
-	// Arrivals, when non-nil, replaces the dispatcher's internal Poisson draw
-	// with one explicit absolute arrival-cycle schedule per tenant (mutually
-	// exclusive with RateHz). Build schedules with a TrafficEngine — trace
-	// replay, diurnal, MMPP, or LLM prefill/decode mixes all reduce to this.
-	Arrivals [][]int64
-
-	// DurationCycles is the arrival window (default 50e6 cycles ≈ 71 ms at
-	// 700 MHz); cores then drain their admitted queues.
-	DurationCycles int64
-
-	// QueueLimit bounds each core's dispatcher queue (default 8); arrivals
-	// beyond it spill to another compatible core with room, or shed.
-	QueueLimit int
-
-	// NoSpill sheds over-bound arrivals immediately instead of probing
-	// other cores.
-	NoSpill bool
-
-	// SLOFactor sets each tenant's latency SLO as a multiple of its
-	// estimated single-tenant service time (default 10).
-	SLOFactor float64
-
-	// MaxCycles caps each core's simulated cycles (default 200e9). Capped
-	// cores keep their partial measurements; ErrMaxCycles comes back joined.
-	MaxCycles int64
-
-	// Seed drives arrivals, random placement, and per-core scheduler seeds.
-	Seed uint64
-
-	// Parallel bounds the workers running per-core simulations (0 =
-	// GOMAXPROCS). Results are bit-identical at any width.
-	Parallel int
-
-	// Faults is the injected fault schedule (nil or empty: none). Fail-stop
-	// faults kill cores mid-run; the dispatcher detects the death by missed
-	// heartbeats and migrates queued and checkpointed in-flight work to
-	// surviving compatible cores. See ParseFaults and GenerateFaults.
-	Faults *FaultSchedule
-
-	// HeartbeatCycles is the dispatcher's core-liveness heartbeat period
-	// (default 1e6 cycles ≈ 1.4 ms); MissedBeats consecutive misses declare
-	// a core dead (default 3).
-	HeartbeatCycles int64
-	MissedBeats     int
-
-	// MigrationRetries caps each victim request's migration attempts
-	// (default 4); retries back off exponentially from
-	// MigrationBackoffCycles (default 250e3). Exhausted victims are shed.
-	MigrationRetries       int
-	MigrationBackoffCycles int64
-
-	// NoMigration sheds every victim of a core failure immediately instead
-	// of migrating — the shed-only resilience baseline.
-	NoMigration bool
-
-	// Tracer, when non-nil, receives every core's timeline after the run —
-	// a ChromeTrace sink gets one "core N" section per core, so the whole
-	// fleet lands in one Perfetto file.
-	Tracer Tracer
-
-	// Counters, when non-nil, receives every core's counter snapshots under
-	// "core N" sections (V10 schemes only).
-	Counters *CounterLog
-
-	// VNPUTemplates, when non-empty, carves every core into spatial vNPU
-	// slices (hardware-assisted partitioning): each tenant is assigned a
-	// (core, slice) pair and V10 temporal interleaving runs within each
-	// slice. Slices enforce hard vector-memory ceilings and windowed
-	// token-bucket HBM-bandwidth throttling. Requires a V10 scheme.
-	VNPUTemplates []VNPUTemplate
-
-	// SliceWindowCycles is the HBM token-bucket refill window for vNPU
-	// slices (default vnpu.DefaultWindowCycles). Only meaningful with
-	// VNPUTemplates.
-	SliceWindowCycles int64
-
-	// Elastic, when non-nil, turns on the autoscaling control plane: the
-	// fleet starts at Elastic.MinCores active cores and the control loop
-	// activates/drains spares against windowed SLO-attainment signals.
-	// Requires a V10 scheme; mutually exclusive with Faults and
-	// VNPUTemplates.
-	Elastic *ElasticConfig
-
-	// Admission picks the dispatcher's admission policy (default
-	// AdmitQueueBound). AdmitPredictive admits on estimated slowdown
-	// instead of queue depth.
-	Admission FleetAdmission
-
-	// SlowdownLimit is AdmitPredictive's ceiling on (wait + service) /
-	// service (default SLOFactor; must be >= 1).
-	SlowdownLimit float64
-
-	// Recluster folds each window's observed tenant features into a private
-	// clone of the advisor's K-Means stage (MacQueen online updates), so the
-	// collocation model tracks tenant-mix drift. Requires Elastic and an
-	// Advisor-backed run.
-	Recluster bool
-
-	// StatsWindowCycles sets the per-tenant windowed-stats bucket width
-	// (default: the control interval under Elastic, otherwise no windows).
-	StatsWindowCycles int64
-
-	// FeedbackRounds closes the loop between estimated and realized latency:
-	// after each round the dispatcher's per-tenant service estimates are
-	// recalibrated against the realized averages and the run repeats with the
-	// calibrated estimates (0 = single pass, no feedback).
-	FeedbackRounds int
-
-	// Tuned, when non-nil, applies a tuned policy's knob vector (see
-	// LoadTunedPolicy and BuiltinTunedKnobs) over the options above: the
-	// scheduler time slice, preemption margin, priority bias, QueueLimit, and
-	// MigrationBackoffCycles are overridden outright, and the collocation
-	// threshold / admission slowdown ceiling / elastic cooldown and drain
-	// knobs apply when the corresponding subsystem is in play. The knobs are
-	// validated against the tuner's legal ranges before the run.
-	Tuned *TunedKnobs
-}
+// FleetOptions configure ServeFleet; see fleet.Options for every field.
+// The zero value serves two V10-Full cores under least-loaded placement at
+// the built-in default load. Scheme takes a Scheme's String(). PlaceAdvisor
+// needs a trained model: set it with Advisor.Apply, then apply any tuned
+// knobs with TunedKnobs.Apply.
+type FleetOptions = fleet.Options
 
 // ServeFleet simulates the tenants' open-loop request streams on a fleet of
-// NPU cores, each running the chosen scheme's scheduler. Placement, admission
+// NPU cores, each running opt.Scheme's scheduler. Placement, admission
 // control (bounded queues with spill/shed backpressure), and per-tenant SLO
-// accounting follow opt; see FleetOptions. Note the PMT baseline serves each
-// core's admitted request count closed-loop, so its latencies exclude
-// dispatcher queueing delay.
-func ServeFleet(tenants []*Workload, scheme Scheme, opt FleetOptions) (*FleetResult, error) {
-	switch scheme {
-	case SchemePMT, SchemeV10Base, SchemeV10Fair, SchemeV10Full:
-	default:
-		return nil, fmt.Errorf("v10: unknown scheme %v", scheme)
-	}
-	if opt.Policy == PlaceAdvisor && opt.Advisor == nil {
-		return nil, fmt.Errorf("v10: PlaceAdvisor requires a trained Advisor (see TrainAdvisor)")
-	}
-	fo := fleet.Options{
-		Config:         opt.Config,
-		Cores:          opt.Cores,
-		Scheme:         scheme.String(),
-		Policy:         opt.Policy,
-		RateHz:         opt.RateHz,
-		Arrivals:       opt.Arrivals,
-		DurationCycles: opt.DurationCycles,
-		QueueLimit:     opt.QueueLimit,
-		NoSpill:        opt.NoSpill,
-		SLOFactor:      opt.SLOFactor,
-		MaxCycles:      opt.MaxCycles,
-		Seed:           opt.Seed,
-		Parallel:       opt.Parallel,
-		Tracer:         opt.Tracer,
-		Counters:       opt.Counters,
-
-		VNPUTemplates:     opt.VNPUTemplates,
-		SliceWindowCycles: opt.SliceWindowCycles,
-
-		Elastic:           opt.Elastic,
-		Admission:         opt.Admission,
-		SlowdownLimit:     opt.SlowdownLimit,
-		Recluster:         opt.Recluster,
-		StatsWindowCycles: opt.StatsWindowCycles,
-		FeedbackRounds:    opt.FeedbackRounds,
-
-		Faults:                 opt.Faults,
-		HeartbeatCycles:        opt.HeartbeatCycles,
-		MissedBeats:            opt.MissedBeats,
-		MigrationRetries:       opt.MigrationRetries,
-		MigrationBackoffCycles: opt.MigrationBackoffCycles,
-		NoMigration:            opt.NoMigration,
-	}
-	if opt.Advisor != nil {
-		fo.Model = opt.Advisor.model
-		fo.ProfileRequests = opt.Advisor.requests
-	}
-	// Tuned knobs go on last so the layer gating sees the final shape of the
-	// run (model present? predictive admission? elastic?).
-	if opt.Tuned != nil {
-		if err := opt.Tuned.Validate(); err != nil {
-			return nil, err
-		}
-		fo = opt.Tuned.Apply(fo)
-	}
-	return fleet.Run(tenants, fo)
+// accounting follow opt. Note the PMT baseline serves each core's admitted
+// request count closed-loop, so its latencies exclude dispatcher queueing
+// delay.
+func ServeFleet(tenants []*Workload, opt FleetOptions) (*FleetResult, error) {
+	return fleet.Run(tenants, opt)
 }

@@ -9,9 +9,9 @@ import (
 // Traffic generation (see internal/workload): a deterministic, seeded engine
 // that turns per-tenant traffic specs — Poisson, uniform, diurnal, MMPP
 // flash-crowd, or production-trace replay — into explicit absolute
-// arrival-cycle schedules for FleetOptions.Arrivals or
-// Options.ArrivalCycles, plus an LLM prefill/decode tenant-mix composer for
-// FlexNPU-style collocation studies.
+// arrival-cycle schedules for FleetOptions.Arrivals (mutually exclusive with
+// RateHz), plus an LLM prefill/decode tenant-mix composer for FlexNPU-style
+// collocation studies.
 
 // TrafficProcess names a stochastic arrival process.
 type TrafficProcess = workload.Process
@@ -82,8 +82,9 @@ func LLMDecode(name string, batch, contextTokens int, seed uint64, cfg npu.CoreC
 // PrefillDecodeMix composes the flagship LLM serving scenario: half the
 // tenants prefill-heavy (compute-bound, daytime-peaked diurnal traffic),
 // half decode-heavy (memory-bound, anti-phased at 4x the rate), with
-// heavy-tailed batch sizes and context lengths. Feed the result to ServeFleet
-// via a TrafficEngine.
+// heavy-tailed batch sizes and context lengths. Feed the result to ServeFleet:
+// Workloads as the tenants, and a TrafficEngine's schedules of Specs as
+// FleetOptions.Arrivals.
 func PrefillDecodeMix(tenants int, rateHz float64, cfg npu.CoreConfig, seed uint64) TenantMix {
 	return workload.PrefillDecodeMix(tenants, rateHz, cfg, seed)
 }

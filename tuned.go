@@ -11,7 +11,8 @@ import "v10/internal/tune"
 // callers load and apply such a policy.
 
 // TunedKnobs is the typed cross-layer policy vector the tuner optimizes.
-// Apply it to a fleet run through FleetOptions.Tuned.
+// Apply it to a fleet run with TunedKnobs.Apply(opt), after Advisor.Apply:
+// the collocation-threshold knob only takes effect on a run with a model.
 type TunedKnobs = tune.Knobs
 
 // TunedPolicy is the on-disk form of a tuned knob vector: the knobs plus the
