@@ -1,26 +1,30 @@
 // Command v10check is the differential simulation-testing gate: it runs N
-// seed-addressed random trials through every scheduling scheme with the
-// runtime invariant checker attached, cross-checks the differential oracles
-// (serial equivalence, permutation fairness, determinism), and on the first
-// violation writes a minimized JSON repro plus an optional Chrome trace of
-// the failing run, then exits 1.
+// seed-addressed random trials of one arm (by default every scheduling scheme
+// under the runtime invariant checker and the differential oracles) and on
+// the first violation minimizes it, writes a JSON repro plus an optional
+// Chrome trace of the failing run, and exits 1. -replay re-runs a repro from
+// any arm.
 //
 //	v10check                                  # 500 trials from seed 0
 //	v10check -trials 2000 -seed 100           # wider sweep, custom base seed
 //	v10check -out repro.json -trace fail.json # artifacts on first violation
-//	v10check -replay repro.json               # re-run a saved repro
+//	v10check -replay repro.json               # re-run a saved repro (any arm)
 //	v10check -chaos 200                       # fleet chaos trials under fault injection
 //	v10check -workload 200                    # workload-engine arrival-schedule trials
 //	v10check -isolation 200                   # vNPU noisy-neighbor isolation trials
 //	v10check -elastic 200                     # autoscaling control-plane trials
 //	v10check -v                               # per-trial progress
+//
+// At most one of -chaos, -workload, -isolation, -elastic and -replay may be set.
 package main
 
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"v10/internal/obs"
@@ -29,216 +33,161 @@ import (
 )
 
 func main() {
-	trials := flag.Int("trials", 500, "number of random trials")
-	seed := flag.Uint64("seed", 0, "base seed (trial i uses seed+i)")
-	out := flag.String("out", "repro.json", "minimized repro file written on violation")
-	tracePath := flag.String("trace", "", "Chrome trace of the first failing run (open in Perfetto)")
-	replay := flag.String("replay", "", "re-check a saved repro instead of random trials")
-	chaos := flag.Int("chaos", 0, "run this many fleet chaos trials (fault injection) instead of scheme trials")
-	workloadTrials := flag.Int("workload", 0, "run this many workload-engine trials (explicit arrival schedules) instead of scheme trials")
-	isolation := flag.Int("isolation", 0, "run this many vNPU noisy-neighbor isolation trials instead of scheme trials")
-	elastic := flag.Int("elastic", 0, "run this many autoscaling control-plane trials instead of scheme trials")
-	minimizeBudget := flag.Int("minimize", 200, "max re-checks spent minimizing a failure (0 disables)")
-	par := flag.Int("parallel", 0, "trial worker count (0 = GOMAXPROCS, 1 = serial)")
-	verbose := flag.Bool("v", false, "log every trial")
-	flag.Parse()
-
-	if *chaos > 0 {
-		runChaos(*chaos, *seed, *out, *par, *verbose)
-		return
-	}
-
-	if *isolation > 0 {
-		runIsolation(*isolation, *seed, *out, *par, *verbose)
-		return
-	}
-
-	if *elastic > 0 {
-		runElastic(*elastic, *seed, *out, *par, *verbose)
-		return
-	}
-
-	if *workloadTrials > 0 {
-		if v := sweep(*workloadTrials, *seed, *par, *verbose, "workload trial", simcheck.RunWorkloadTrial); v != nil {
-			fmt.Fprintf(os.Stderr, "workload seed %d violated %d invariant(s)\n", v.Scenario.Seed, len(v.Problems))
-			report(v.Scenario, v, *out, *tracePath, *minimizeBudget)
-			os.Exit(1)
-		}
-		fmt.Printf("v10check: %d workload trials from seed %d, zero violations\n", *workloadTrials, *seed)
-		return
-	}
-
-	if *replay != "" {
-		sc, err := simcheck.ReadScenario(*replay)
-		if err != nil {
-			fatal(err)
-		}
-		if v := simcheck.CheckScenario(sc); v != nil {
-			report(sc, v, *out, *tracePath, 0) // replays are already minimal
-			os.Exit(1)
-		}
-		fmt.Printf("repro %s: all schemes clean\n", *replay)
-		return
-	}
-
-	if v := sweep(*trials, *seed, *par, *verbose, "trial", simcheck.RunTrial); v != nil {
-		fmt.Fprintf(os.Stderr, "seed %d violated %d invariant(s)\n", v.Scenario.Seed, len(v.Problems))
-		report(v.Scenario, v, *out, *tracePath, *minimizeBudget)
-		os.Exit(1)
-	}
-	fmt.Printf("v10check: %d trials from seed %d, zero violations\n", *trials, *seed)
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// sweep runs trial seeds seed..seed+trials-1 through run on a worker pool,
-// batch by batch, and returns the violation with the smallest seed (nil when
-// clean). Batching keeps the first-failure semantics deterministic — every
-// worker finishes its batch before violations are scanned in seed order — so
-// a parallel sweep reports the same repro as a serial one.
-func sweep[V any](trials int, seed uint64, par int, verbose bool, kind string,
-	run func(uint64) *V) *V {
-	batch := 8 * parallel.Workers(par)
-	for lo := 0; lo < trials; lo += batch {
-		hi := lo + batch
-		if hi > trials {
-			hi = trials
+// cli is one parsed invocation.
+type cli struct {
+	trials, minimize, par int
+	seed                  uint64
+	out, trace, replay    string
+	repro                 json.RawMessage // the -replay file's scenario
+	verbose               bool
+	stdout, stderr        io.Writer
+}
+
+// run parses args, selects one arm's harness and drives it, returning the
+// exit status: 0 clean, 1 violation or error, 2 usage.
+func run(args []string, stdout, stderr io.Writer) int {
+	c := &cli{stdout: stdout, stderr: stderr}
+	fs := flag.NewFlagSet("v10check", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.IntVar(&c.trials, "trials", 500, "number of random trials")
+	fs.Uint64Var(&c.seed, "seed", 0, "base seed (trial i uses seed+i)")
+	fs.StringVar(&c.out, "out", "repro.json", "minimized repro file written on violation")
+	fs.StringVar(&c.trace, "trace", "", "Chrome trace of the first failing run (open in Perfetto)")
+	fs.StringVar(&c.replay, "replay", "", "re-check a saved repro instead of random trials")
+	armTrials := map[string]*int{
+		simcheck.Chaos.Name:     fs.Int("chaos", 0, "run this many fleet chaos trials (fault injection) instead of scheme trials"),
+		simcheck.Workload.Name:  fs.Int("workload", 0, "run this many workload-engine trials (explicit arrival schedules) instead of scheme trials"),
+		simcheck.Isolation.Name: fs.Int("isolation", 0, "run this many vNPU noisy-neighbor isolation trials instead of scheme trials"),
+		simcheck.Elastic.Name:   fs.Int("elastic", 0, "run this many autoscaling control-plane trials instead of scheme trials"),
+	}
+	fs.IntVar(&c.minimize, "minimize", 200, "max re-checks spent minimizing a failure (0 disables)")
+	fs.IntVar(&c.par, "parallel", 0, "trial worker count (0 = GOMAXPROCS, 1 = serial)")
+	fs.BoolVar(&c.verbose, "v", false, "log every trial")
+	if err := fs.Parse(args); errors.Is(err, flag.ErrHelp) {
+		return 0
+	} else if err != nil {
+		return 2
+	}
+
+	arm, modes := simcheck.Base.Name, 0
+	if c.replay != "" {
+		modes++
+	}
+	for name, n := range armTrials {
+		if *n > 0 {
+			arm, c.trials = name, *n
+			modes++
 		}
-		vs, _ := parallel.Map(context.Background(), hi-lo, par, func(i int) (*V, error) {
-			s := seed + uint64(lo+i)
-			if verbose {
-				fmt.Printf("%s %d/%d seed %d\n", kind, lo+i+1, trials, s)
+	}
+	if modes > 1 {
+		fmt.Fprintln(stderr, "v10check: at most one of -chaos, -workload, -isolation, -elastic and -replay may be set")
+		return 2
+	}
+	if c.replay != "" {
+		r, err := simcheck.ReadRepro(c.replay)
+		if err != nil {
+			return c.fail(err)
+		}
+		arm, c.repro = r.Arm, r.Scenario
+	}
+
+	drive := map[string]func(*cli) int{
+		simcheck.Base.Name:      func(c *cli) int { return check(c, simcheck.Base) },
+		simcheck.Workload.Name:  func(c *cli) int { return check(c, simcheck.Workload) },
+		simcheck.Chaos.Name:     func(c *cli) int { return check(c, simcheck.Chaos) },
+		simcheck.Isolation.Name: func(c *cli) int { return check(c, simcheck.Isolation) },
+		simcheck.Elastic.Name:   func(c *cli) int { return check(c, simcheck.Elastic) },
+	}[arm]
+	if drive == nil {
+		return c.fail(fmt.Errorf("%s: unknown arm %q", c.replay, arm))
+	}
+	return drive(c)
+}
+
+// check is the one path every arm takes: replay the repro or sweep the
+// seeds, then minimize a sweep's failure, print every problem, and write the
+// repro and (for the Scenario arms) the Chrome trace.
+func check[S any](c *cli, h *simcheck.Harness[S]) int {
+	var v *simcheck.Violation[S]
+	if c.repro != nil {
+		s, err := h.Decode(c.repro)
+		if err != nil {
+			return c.fail(err)
+		}
+		if v = h.Run(s); v == nil {
+			fmt.Fprintf(c.stdout, "repro %s: %s trial clean\n", c.replay, h.Name)
+			return 0
+		}
+	} else {
+		var seed uint64
+		if seed, v = sweep(c, h); v == nil {
+			fmt.Fprintf(c.stdout, "v10check: %d %s trials from seed %d, zero violations\n", c.trials, h.Name, c.seed)
+			return 0
+		}
+		fmt.Fprintf(c.stderr, "%s seed %d violated %d invariant(s)\n", h.Name, seed, len(v.Problems))
+		if c.minimize > 0 {
+			v = h.Minimize(v, c.minimize)
+		}
+	}
+
+	for _, p := range v.Problems {
+		fmt.Fprintf(c.stderr, "  - %s\n", p)
+	}
+	if c.out != "" {
+		if err := v.WriteFile(c.out); err != nil {
+			return c.fail(err)
+		}
+		fmt.Fprintf(c.stderr, "repro written to %s (replay with -replay %s)\n", c.out, c.out)
+	}
+	if sc, ok := any(v.Scenario).(*simcheck.Scenario); ok && c.trace != "" {
+		if err := writeTrace(sc, c.trace); err != nil {
+			return c.fail(err)
+		}
+		fmt.Fprintf(c.stderr, "timeline written to %s\n", c.trace)
+	}
+	return 1
+}
+
+// sweep runs trial seeds seed..seed+trials-1 through the harness on a worker
+// pool, batch by batch, and returns the violation with the smallest seed (nil
+// when clean). Batching keeps the first-failure semantics deterministic —
+// every worker finishes its batch before violations are scanned in seed
+// order — so a parallel sweep reports the same repro as a serial one.
+func sweep[S any](c *cli, h *simcheck.Harness[S]) (uint64, *simcheck.Violation[S]) {
+	batch := 8 * parallel.Workers(c.par)
+	for lo := 0; lo < c.trials; lo += batch {
+		hi := min(lo+batch, c.trials)
+		vs, _ := parallel.Map(context.Background(), hi-lo, c.par, func(i int) (*simcheck.Violation[S], error) {
+			s := c.seed + uint64(lo+i)
+			if c.verbose {
+				fmt.Fprintf(c.stdout, "%s trial %d/%d seed %d\n", h.Name, lo+i+1, c.trials, s)
 			}
-			return run(s), nil
+			return h.Trial(s), nil
 		})
-		for _, v := range vs {
+		for i, v := range vs {
 			if v != nil {
-				return v
+				return c.seed + uint64(lo+i), v
 			}
 		}
 	}
-	return nil
+	return 0, nil
 }
 
-// runChaos is the fleet-level resilience gate: every seeded random chaos
-// trial — core failures, stragglers, degradation windows against a random
-// fleet — must conserve requests, replay bit-identically, and keep its typed
-// fault events consistent with its recovery metrics. The first violation
-// writes the full scenario as a JSON repro and exits 1.
-func runChaos(trials int, seed uint64, out string, par int, verbose bool) {
-	v := sweep(trials, seed, par, verbose, "chaos trial", simcheck.RunChaosTrial)
-	if v != nil {
-		fmt.Fprintf(os.Stderr, "chaos seed %d violated %d invariant(s)\n", v.Scenario.Seed, len(v.Problems))
-		for _, p := range v.Problems {
-			fmt.Fprintf(os.Stderr, "  - %s\n", p)
-		}
-		if out != "" {
-			j, err := json.MarshalIndent(v, "", "  ")
-			if err == nil {
-				err = os.WriteFile(out, append(j, '\n'), 0o644)
-			}
-			if err != nil {
-				fatal(err)
-			}
-			fmt.Fprintf(os.Stderr, "chaos repro written to %s\n", out)
-		}
-		os.Exit(1)
+// writeTrace re-runs every scheme of a failing scenario with a Chrome trace
+// writer as its tracer, one section per scheme.
+func writeTrace(sc *simcheck.Scenario, path string) error {
+	cw := obs.NewChromeWriter(sc.Config.CyclesPerMicrosecond())
+	for _, scheme := range sc.Schemes {
+		cw.BeginSection(scheme)
+		simcheck.Execute(sc, scheme, false, cw) // run errors are already among the problems
 	}
-	fmt.Printf("v10check: %d chaos trials from seed %d, zero violations\n", trials, seed)
+	return cw.WriteFile(path)
 }
 
-// runIsolation is the vNPU spatial-partitioning gate: every seeded
-// noisy-neighbor trial — an HBM flood, vector-memory hog, or MMPP flash
-// crowd in the slice next to a well-behaved victim — must keep the victim's
-// p99 contained, conserve every slice's windowed HBM quota and vmem ceiling,
-// and replay bit-identically. The first violation writes the full scenario
-// as a JSON repro and exits 1.
-func runIsolation(trials int, seed uint64, out string, par int, verbose bool) {
-	v := sweep(trials, seed, par, verbose, "isolation trial", simcheck.RunIsolationTrial)
-	if v == nil {
-		fmt.Printf("v10check: %d isolation trials from seed %d, zero violations\n", trials, seed)
-		return
-	}
-	fmt.Fprintf(os.Stderr, "isolation seed %d (%s aggressor) violated %d invariant(s)\n",
-		v.Scenario.Seed, v.Scenario.Aggressor, len(v.Problems))
-	for _, p := range v.Problems {
-		fmt.Fprintf(os.Stderr, "  - %s\n", p)
-	}
-	if out != "" {
-		j, err := json.MarshalIndent(v, "", "  ")
-		if err == nil {
-			err = os.WriteFile(out, append(j, '\n'), 0o644)
-		}
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "isolation repro written to %s\n", out)
-	}
-	os.Exit(1)
-}
-
-// runElastic is the control-plane gate: every seeded autoscaling trial —
-// diurnal swings, MMPP flash crowds, and churning tenants over a fleet that
-// grows and shrinks — must conserve requests through core drains, take only
-// decisions a clean controller replays (cooldown, hysteresis, LIFO drain),
-// keep its typed scale events consistent with its metrics, report honest
-// admission estimates, and rerun bit-identically. The first violation writes
-// the full scenario as a JSON repro and exits 1.
-func runElastic(trials int, seed uint64, out string, par int, verbose bool) {
-	v := sweep(trials, seed, par, verbose, "elastic trial", simcheck.RunElasticTrial)
-	if v == nil {
-		fmt.Printf("v10check: %d elastic trials from seed %d, zero violations\n", trials, seed)
-		return
-	}
-	fmt.Fprintf(os.Stderr, "elastic seed %d violated %d invariant(s)\n", v.Scenario.Seed, len(v.Problems))
-	for _, p := range v.Problems {
-		fmt.Fprintf(os.Stderr, "  - %s\n", p)
-	}
-	if out != "" {
-		j, err := json.MarshalIndent(v, "", "  ")
-		if err == nil {
-			err = os.WriteFile(out, append(j, '\n'), 0o644)
-		}
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "elastic repro written to %s\n", out)
-	}
-	os.Exit(1)
-}
-
-// report minimizes the failure, writes the repro and optional Chrome trace,
-// and prints every problem.
-func report(sc *simcheck.Scenario, v *simcheck.Violation, out, tracePath string, minimizeBudget int) {
-	if minimizeBudget > 0 {
-		if min, mv := simcheck.Minimize(sc, minimizeBudget); mv != nil {
-			sc, v = min, mv
-		}
-	}
-	for _, p := range v.Problems {
-		fmt.Fprintf(os.Stderr, "  - %s\n", p)
-	}
-	if out != "" {
-		if err := sc.WriteFile(out); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "repro written to %s (replay with -replay %s)\n", out, out)
-	}
-	if tracePath != "" {
-		cw := obs.NewChromeWriter(sc.Config.CyclesPerMicrosecond())
-		for _, scheme := range sc.Schemes {
-			cw.BeginSection(scheme)
-			run := simcheck.RunScheme(sc, scheme, false)
-			for _, e := range run.Events {
-				cw.Emit(e)
-			}
-		}
-		if err := cw.WriteFile(tracePath); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "timeline written to %s\n", tracePath)
-	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "v10check:", err)
-	os.Exit(1)
+func (c *cli) fail(err error) int {
+	fmt.Fprintln(c.stderr, "v10check:", err)
+	return 1
 }

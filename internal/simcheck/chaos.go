@@ -43,19 +43,6 @@ type ChaosScenario struct {
 	Faults                 []faults.Fault `json:"faults,omitempty"`
 }
 
-// ChaosViolation is a failed chaos trial: the scenario plus every oracle
-// message, JSON-serializable for replay.
-type ChaosViolation struct {
-	Scenario *ChaosScenario `json:"scenario"`
-	Problems []string       `json:"problems"`
-}
-
-// Error implements error.
-func (v *ChaosViolation) Error() string {
-	return fmt.Sprintf("simcheck: chaos seed %d: %d problem(s), first: %s",
-		v.Scenario.Seed, len(v.Problems), v.Problems[0])
-}
-
 // GenChaosScenario derives a complete random chaos trial from one seed:
 // fleet shape, dispatcher and recovery knobs, tenant set, offered load from
 // under- to over-saturated, and a fault schedule mixing fail-stops (single
@@ -85,27 +72,11 @@ func GenChaosScenario(seed uint64) *ChaosScenario {
 		cs.Policy = "random"
 	}
 
-	nw := 2 + rng.Intn(5)
-	partition := cfg.VMemBytes / int64(nw)
-	for i := 0; i < nw; i++ {
-		cs.Workloads = append(cs.Workloads, WorkloadSpec{
-			Name:     fmt.Sprintf("T%d", i),
-			Priority: 1,
-			Ops:      genOps(rng, partition),
-		})
-	}
-	balanceDurations(&Scenario{Config: cfg, Workloads: cs.Workloads})
+	cs.Workloads = genTenants(rng, cfg, 2+rng.Intn(5))
 
 	// Offered load: util × fleet capacity, spread evenly over the tenants,
 	// capped so a trial stays small even when requests are microscopic.
-	var totalServe float64
-	sc := &Scenario{Config: cfg, Workloads: cs.Workloads}
-	for i := range cs.Workloads {
-		totalServe += serveCycles(sc, i)
-	}
-	if totalServe < 1 {
-		totalServe = 1
-	}
+	totalServe := totalServeCycles(&Scenario{Config: cfg, Workloads: cs.Workloads})
 	util := pickF(rng, 0.4, 0.8, 1.5)
 	cs.RateHz = util * float64(cs.Cores) * cfg.FrequencyHz / totalServe
 	if maxRate := 120 * cfg.FrequencyHz / float64(cs.DurationCycles); cs.RateHz > maxRate {
@@ -168,17 +139,43 @@ func (cs *ChaosScenario) options(schedule *faults.Schedule) fleet.Options {
 	}
 }
 
+// Validate rejects chaos scenarios the fleet runner would refuse outright:
+// bad tenant specs or a fault schedule that names cores the fleet lacks.
+// Chaos tenants carry no per-tenant rows.
+func (cs *ChaosScenario) Validate() error {
+	if err := validateFleet(cs.Config, cs.Scheme, cs.Workloads, len(cs.Workloads)); err != nil {
+		return err
+	}
+	return (&faults.Schedule{Faults: cs.Faults}).Validate(cs.Cores)
+}
+
+// shrinkChaos proposes one-step simplifications of a chaos trial: drop one
+// tenant, drop one fault, halve the horizon.
+func shrinkChaos(cs *ChaosScenario) []*ChaosScenario {
+	var out []*ChaosScenario
+	if len(cs.Workloads) > 1 {
+		for i := range cs.Workloads {
+			c := *cs
+			c.Workloads = dropAt(cs.Workloads, i)
+			out = append(out, &c)
+		}
+	}
+	for i := range cs.Faults {
+		c := *cs
+		c.Faults = dropAt(cs.Faults, i)
+		out = append(out, &c)
+	}
+	if cs.DurationCycles > 1 {
+		c := *cs
+		c.DurationCycles /= 2
+		out = append(out, &c)
+	}
+	return out
+}
+
 // CheckChaosScenario runs the trial and returns every oracle violation.
 func CheckChaosScenario(cs *ChaosScenario) (problems []string) {
-	defer func() {
-		if r := recover(); r != nil {
-			problems = append(problems, fmt.Sprintf("panic: %v", r))
-		}
-	}()
 	schedule := &faults.Schedule{Faults: cs.Faults}
-	if err := schedule.Validate(cs.Cores); err != nil {
-		return []string{fmt.Sprintf("generated fault schedule invalid: %v", err)}
-	}
 
 	// Run 1: faults on, fleet event log attached, per-core invariant
 	// checkers riding every core the fault schedule leaves untouched.
@@ -228,15 +225,7 @@ func CheckChaosScenario(cs *ChaosScenario) (problems []string) {
 
 	// Run 2: determinism — the same seed must reproduce the faulted run bit
 	// for bit, per-core cycle measurements included.
-	res2, err2 := fleet.Run(cs.buildWorkloads(), cs.options(schedule))
-	if err2 != nil {
-		problems = append(problems, fmt.Sprintf("fleet re-run error: %v", err2))
-	}
-	if res2 != nil {
-		if !sameResult(stripTracerView(res), res2) {
-			problems = append(problems, "faulted run is not deterministic: re-run with the same seed differs")
-		}
-	}
+	problems = append(problems, checkRerun("faulted", res, cs.buildWorkloads(), cs.options(schedule))...)
 
 	// Run 3 (fault-free trials only): a nil fault schedule and an empty one
 	// must be bit-identical — the fault machinery may not perturb the
@@ -246,17 +235,25 @@ func CheckChaosScenario(cs *ChaosScenario) (problems []string) {
 		if err3 != nil {
 			problems = append(problems, fmt.Sprintf("nil-schedule run error: %v", err3))
 		}
-		if res3 != nil && !sameResult(stripTracerView(res), res3) {
+		if res3 != nil && !sameResult(res, res3) {
 			problems = append(problems, "empty fault schedule is not bit-identical to a nil schedule")
 		}
 	}
 	return problems
 }
 
-// stripTracerView returns res as-is; the comparison runs carry no tracers,
-// and fleet results hold no tracer state, so the faulted run compares
-// directly. Kept as a seam in case Result ever grows run-local handles.
-func stripTracerView(res *fleet.Result) *fleet.Result { return res }
+// checkRerun is the fleet arms' determinism oracle: running ws under o again
+// must reproduce res bit for bit. what names the run in the messages.
+func checkRerun(what string, res *fleet.Result, ws []*trace.Workload, o fleet.Options) []string {
+	again, err := fleet.Run(ws, o)
+	if err != nil {
+		return []string{fmt.Sprintf("%s re-run error: %v", what, err)}
+	}
+	if !sameResult(res, again) {
+		return []string{what + " run is not deterministic: re-run with the same seed differs"}
+	}
+	return nil
+}
 
 func sameResult(a, b *fleet.Result) bool {
 	ja, errA := json.Marshal(a)
@@ -357,13 +354,4 @@ func checkChaosEvents(res *fleet.Result, events []obs.Event, missedBeats int) (p
 	check(obs.EvMigrate, res.Migrated, "migrated")
 	check(obs.EvMigrateShed, res.MigrationShed, "migration-shed")
 	return problems
-}
-
-// RunChaosTrial generates and checks one chaos trial, returning nil on pass.
-func RunChaosTrial(seed uint64) *ChaosViolation {
-	cs := GenChaosScenario(seed)
-	if problems := CheckChaosScenario(cs); len(problems) > 0 {
-		return &ChaosViolation{Scenario: cs, Problems: problems}
-	}
-	return nil
 }

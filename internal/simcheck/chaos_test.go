@@ -23,7 +23,7 @@ func TestChaosTrials(t *testing.T) {
 		n = 20
 	}
 	for seed := uint64(0); seed < n; seed++ {
-		if v := RunChaosTrial(seed); v != nil {
+		if v := Chaos.Trial(seed); v != nil {
 			j, _ := json.MarshalIndent(v, "", "  ")
 			t.Fatalf("chaos seed %d:\n%s", seed, j)
 		}
@@ -76,12 +76,13 @@ func TestChaosTrialsCoverFailures(t *testing.T) {
 }
 
 func TestChaosViolationError(t *testing.T) {
-	v := &ChaosViolation{
+	v := &Violation[*ChaosScenario]{
+		Arm:      Chaos.Name,
 		Scenario: &ChaosScenario{Seed: 7},
 		Problems: []string{"first problem", "second"},
 	}
 	msg := v.Error()
-	if !strings.Contains(msg, "seed 7") || !strings.Contains(msg, "first problem") {
+	if !strings.Contains(msg, "chaos") || !strings.Contains(msg, "2 problem(s)") || !strings.Contains(msg, "first problem") {
 		t.Fatalf("unhelpful violation message: %q", msg)
 	}
 	// Violations must survive a JSON round trip for -replay style repros.
@@ -89,11 +90,11 @@ func TestChaosViolationError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var back ChaosViolation
+	var back Violation[*ChaosScenario]
 	if err := json.Unmarshal(j, &back); err != nil {
 		t.Fatal(err)
 	}
-	if back.Scenario.Seed != 7 || len(back.Problems) != 2 {
+	if back.Arm != "chaos" || back.Scenario.Seed != 7 || len(back.Problems) != 2 {
 		t.Fatalf("round trip lost data: %+v", back)
 	}
 }
@@ -120,8 +121,8 @@ func FuzzFaultSchedule(f *testing.F) {
 			return // e.g. core index beyond this scenario's fleet
 		}
 		cs.Faults = schedule.Faults
-		if problems := CheckChaosScenario(cs); len(problems) > 0 {
-			j, _ := json.MarshalIndent(&ChaosViolation{Scenario: cs, Problems: problems}, "", "  ")
+		if v := Chaos.Run(cs); v != nil {
+			j, _ := json.MarshalIndent(v, "", "  ")
 			t.Fatalf("seed %d spec %q:\n%s", seed, spec, j)
 		}
 	})

@@ -136,27 +136,20 @@ func NewChecker(sc *Scenario, scheme string, reversed bool) *Checker {
 		capacity:  cfg.HBMBytesPerCycle(),
 		pmtActive: -1,
 	}
-	reload := sc.VMemReloadFactor
-	if reload == 0 {
-		reload = 0.5
-	}
 	if c.pmt {
-		reload = 0.5 // baseline.loadRequest hard-codes the reload factor
 		c.lat = 0
 		c.closed = true
 	}
 	nw := len(sc.Workloads)
-	part := cfg.VMemBytes / int64(nw)
 	for i := 0; i < nw; i++ {
 		spec := sc.Workloads[i]
 		if reversed {
 			spec = sc.Workloads[nw-1-i]
 		}
-		g := trace.TileForVMem(spec.graph(), part, reload)
 		var ops []expOp
 		var serial int64
 		var hbm, hbmLo float64
-		for _, op := range g.Linearize() {
+		for _, op := range sc.tiledOps(spec, scheme) {
 			kind := 1
 			if op.Kind == trace.KindSA {
 				kind = 0

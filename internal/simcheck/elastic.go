@@ -42,19 +42,6 @@ type ElasticScenario struct {
 	Traffic   []workload.Spec `json:"traffic"` // one churn/burst spec per tenant
 }
 
-// ElasticViolation is a failed elastic trial: the scenario plus every oracle
-// message, JSON-serializable for replay.
-type ElasticViolation struct {
-	Scenario *ElasticScenario `json:"scenario"`
-	Problems []string         `json:"problems"`
-}
-
-// Error implements error.
-func (v *ElasticViolation) Error() string {
-	return fmt.Sprintf("simcheck: elastic seed %d: %d problem(s), first: %s",
-		v.Scenario.Seed, len(v.Problems), v.Problems[0])
-}
-
 // GenElasticScenario derives a complete random elastic trial from one seed:
 // fleet shape with a spare-core range, control-loop knobs tight enough that
 // scaling actually happens inside the horizon, a tenant set, and a traffic
@@ -96,27 +83,11 @@ func GenElasticScenario(seed uint64) *ElasticScenario {
 		es.Recluster = true
 	}
 
-	nw := 3 + rng.Intn(4)
-	partition := cfg.VMemBytes / int64(nw)
-	for i := 0; i < nw; i++ {
-		es.Workloads = append(es.Workloads, WorkloadSpec{
-			Name:     fmt.Sprintf("T%d", i),
-			Priority: 1,
-			Ops:      genOps(rng, partition),
-		})
-	}
-	balanceDurations(&Scenario{Config: cfg, Workloads: es.Workloads})
+	es.Workloads = genTenants(rng, cfg, 3+rng.Intn(4))
 
 	// Offered load against the *floor* capacity so the loop has a reason to
 	// scale: peaks overload MinCores, troughs leave the fleet idle.
-	var totalServe float64
-	sc := &Scenario{Config: cfg, Workloads: es.Workloads}
-	for i := range es.Workloads {
-		totalServe += serveCycles(sc, i)
-	}
-	if totalServe < 1 {
-		totalServe = 1
-	}
+	totalServe := totalServeCycles(&Scenario{Config: cfg, Workloads: es.Workloads})
 	// perTenant is chosen so the aggregate demand (Σ perTenant × serve_i =
 	// perTenant × totalServe cycles/sec) runs at `util` × the floor capacity:
 	// peaks overload MinCores, troughs leave spares idle.
@@ -143,7 +114,7 @@ func GenElasticScenario(seed uint64) *ElasticScenario {
 		es.Elastic.CooldownCycles = es.Elastic.IntervalCycles * int64(1+rng.Intn(3))
 	}
 
-	for i := 0; i < nw; i++ {
+	for range es.Workloads {
 		spec := workload.Spec{RateHz: perTenant}
 		switch rng.Intn(10) {
 		case 0, 1, 2, 3: // diurnal swing: the canonical scale-up/down driver
@@ -228,24 +199,41 @@ const elasticProfileRequests = 3
 // never overrides it).
 const elasticSLOFactor = 10
 
-// CheckElasticScenario runs the trial and returns every oracle violation.
-func CheckElasticScenario(es *ElasticScenario) []string {
-	return checkElastic(es, nil, nil)
+// Validate rejects elastic scenarios the fleet runner would refuse: bad
+// tenant specs or traffic rows out of step with the tenants.
+func (es *ElasticScenario) Validate() error {
+	return validateFleet(es.Config, es.Scheme, es.Workloads, len(es.Traffic))
 }
 
-// checkElastic is CheckElasticScenario with mutation hooks: mutateOpts may
-// corrupt the run's options (e.g. skew the admission estimates) and mutateRes
-// may corrupt the result (e.g. drop a readmission or zero the model drift).
-// The mutation acceptance tests use the hooks to prove injected control-plane
-// bugs are caught; when either hook is set the determinism oracle is skipped
-// (a corrupted view trivially differs from its clean re-run).
+// shrinkElastic proposes one-step simplifications of an autoscaling trial:
+// drop one tenant with its traffic spec, or halve the horizon.
+func shrinkElastic(es *ElasticScenario) []*ElasticScenario {
+	var out []*ElasticScenario
+	if len(es.Workloads) > 1 {
+		for i := range es.Workloads {
+			c := *es
+			c.Workloads = dropAt(es.Workloads, i)
+			c.Traffic = dropAt(es.Traffic, i)
+			out = append(out, &c)
+		}
+	}
+	if es.DurationCycles > 1 {
+		c := *es
+		c.DurationCycles /= 2
+		out = append(out, &c)
+	}
+	return out
+}
+
+// checkElastic runs the trial and returns every oracle violation. The
+// Elastic arm passes nil hooks; the mutation acceptance tests set them to
+// prove injected control-plane bugs are caught: mutateOpts may corrupt the
+// run's options (e.g. skew the admission estimates) and mutateRes the result
+// (e.g. drop a readmission or zero the model drift). When either hook is set
+// the determinism oracle is skipped (a corrupted view trivially differs from
+// its clean re-run).
 func checkElastic(es *ElasticScenario,
 	mutateOpts func(*fleet.Options), mutateRes func(*fleet.Result)) (problems []string) {
-	defer func() {
-		if r := recover(); r != nil {
-			problems = append(problems, fmt.Sprintf("panic: %v", r))
-		}
-	}()
 	arr, err := es.arrivals()
 	if err != nil {
 		return append(problems, fmt.Sprintf("traffic generation error: %v", err))
@@ -276,12 +264,7 @@ func checkElastic(es *ElasticScenario,
 	// Run 2: determinism — the same seed must reproduce the run bit for bit,
 	// decision trace and window signals included.
 	if mutateOpts == nil && mutateRes == nil {
-		res2, err2 := fleet.Run(ws, es.options(arr, model))
-		if err2 != nil {
-			problems = append(problems, fmt.Sprintf("fleet re-run error: %v", err2))
-		} else if !sameResult(res, res2) {
-			problems = append(problems, "elastic run is not deterministic: re-run with the same seed differs")
-		}
+		problems = append(problems, checkRerun("elastic", res, ws, es.options(arr, model))...)
 	}
 	if mutateRes != nil {
 		mutateRes(res)
@@ -522,14 +505,4 @@ func checkReclusterConsistency(es *ElasticScenario, ws []*trace.Workload,
 			ctl.ModelDrift, want))
 	}
 	return problems
-}
-
-// RunElasticTrial generates and checks one elastic trial, returning nil on
-// pass.
-func RunElasticTrial(seed uint64) *ElasticViolation {
-	es := GenElasticScenario(seed)
-	if problems := CheckElasticScenario(es); len(problems) > 0 {
-		return &ElasticViolation{Scenario: es, Problems: problems}
-	}
-	return nil
 }

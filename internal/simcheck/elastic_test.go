@@ -40,7 +40,7 @@ func TestElasticTrials(t *testing.T) {
 		n = 10
 	}
 	for seed := uint64(0); seed < n; seed++ {
-		if v := RunElasticTrial(seed); v != nil {
+		if v := Elastic.Trial(seed); v != nil {
 			j, _ := json.MarshalIndent(v, "", "  ")
 			t.Fatalf("elastic seed %d:\n%s", seed, j)
 		}
@@ -214,12 +214,13 @@ func TestElasticMutationDroppedEventCaught(t *testing.T) {
 }
 
 func TestElasticViolationError(t *testing.T) {
-	v := &ElasticViolation{
+	v := &Violation[*ElasticScenario]{
+		Arm:      Elastic.Name,
 		Scenario: &ElasticScenario{Seed: 9},
 		Problems: []string{"first problem", "second problem"},
 	}
 	msg := v.Error()
-	for _, want := range []string{"seed 9", "2 problem(s)", "first problem"} {
+	for _, want := range []string{"elastic", "2 problem(s)", "first problem"} {
 		if !strings.Contains(msg, want) {
 			t.Errorf("violation error %q missing %q", msg, want)
 		}
@@ -243,7 +244,7 @@ func TestElasticScenarioRoundTrips(t *testing.T) {
 	if string(j) != string(j2) {
 		t.Fatal("elastic scenario does not round-trip through JSON")
 	}
-	if problems := CheckElasticScenario(&back); len(problems) > 0 {
-		t.Fatalf("round-tripped scenario fails its own check: %v", problems)
+	if v := Elastic.Run(&back); v != nil {
+		t.Fatalf("round-tripped scenario fails its own check: %v", v.Problems)
 	}
 }

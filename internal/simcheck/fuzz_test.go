@@ -20,7 +20,7 @@ func FuzzSchedRun(f *testing.F) {
 	}
 	f.Add(uint64(1<<63) + 12345)
 	f.Fuzz(func(t *testing.T, seed uint64) {
-		if v := RunTrial(seed); v != nil {
+		if v := Base.Trial(seed); v != nil {
 			t.Fatalf("seed %d:\n%s", seed, join(v.Problems))
 		}
 	})

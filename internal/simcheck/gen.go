@@ -5,7 +5,6 @@ import (
 
 	"v10/internal/mathx"
 	"v10/internal/npu"
-	"v10/internal/trace"
 )
 
 // maxTrialEvents caps the estimated event count of one generated trial. The
@@ -105,14 +104,7 @@ func genScenario(seed uint64, rng *mathx.RNG) *Scenario {
 	if openLoop {
 		// Target ~30% offered load across the tenant set so queues stay
 		// stable: rate = 0.3 × clock / total fluid service cycles per round.
-		var totalServe float64
-		for i := range s.Workloads {
-			totalServe += serveCycles(s, i)
-		}
-		if totalServe < 1 {
-			totalServe = 1
-		}
-		s.ArrivalRateHz = 0.3 * cfg.FrequencyHz / totalServe
+		s.ArrivalRateHz = 0.3 * cfg.FrequencyHz / totalServeCycles(s)
 		s.Schemes = []string{SchemeBase, SchemeFair, SchemeFull}
 	} else {
 		s.Schemes = append([]string(nil), AllSchemes...)
@@ -185,6 +177,18 @@ func genOps(rng *mathx.RNG, partition int64) []OpSpec {
 	return ops
 }
 
+// genTenants draws n equal-priority fleet tenants that share cfg's vector
+// memory, with balanced per-request durations.
+func genTenants(rng *mathx.RNG, cfg npu.CoreConfig, n int) []WorkloadSpec {
+	ws := make([]WorkloadSpec, n)
+	partition := cfg.VMemBytes / int64(n)
+	for i := range ws {
+		ws[i] = WorkloadSpec{Name: fmt.Sprintf("T%d", i), Priority: 1, Ops: genOps(rng, partition)}
+	}
+	balanceDurations(&Scenario{Config: cfg, Workloads: ws})
+	return ws
+}
+
 // balanceDurations keeps per-request durations within 32× of each other by
 // padding fast workloads' trailing stall. Without the floor, a microsecond
 // workload collocated with a millisecond one over-serves by thousands of
@@ -215,16 +219,23 @@ func balanceDurations(s *Scenario) {
 // serveCycles estimates one request's uncontended service time for workload
 // i under the V10 schemes: tiled stalls + dispatch latency + fluid compute.
 func serveCycles(s *Scenario, i int) float64 {
-	part := s.Config.VMemBytes / int64(len(s.Workloads))
-	reload := s.VMemReloadFactor
-	if reload == 0 {
-		reload = 0.5
-	}
-	g := trace.TileForVMem(s.Workloads[i].graph(), part, reload)
 	capacity := s.Config.HBMBytesPerCycle()
 	var t float64
-	for _, op := range g.Linearize() {
+	for _, op := range s.tiledOps(s.Workloads[i], SchemeFull) {
 		t += float64(op.Stall + s.DispatchLatency + fluidCycles(op, capacity))
+	}
+	return t
+}
+
+// totalServeCycles sums serveCycles over every workload, floored at one
+// cycle so offered-load rates derived from it stay finite.
+func totalServeCycles(s *Scenario) float64 {
+	var t float64
+	for i := range s.Workloads {
+		t += serveCycles(s, i)
+	}
+	if t < 1 {
+		t = 1
 	}
 	return t
 }

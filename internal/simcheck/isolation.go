@@ -19,6 +19,8 @@ package simcheck
 
 import (
 	"fmt"
+	"math"
+	"sort"
 
 	"v10/internal/fleet"
 	"v10/internal/mathx"
@@ -65,19 +67,6 @@ type IsolationScenario struct {
 	Arrivals       [][]int64       `json:"arrivals"`
 	Bound          float64         `json:"bound"`
 	SlackCycles    int64           `json:"slack_cycles"`
-}
-
-// IsolationViolation is a failed isolation trial: the scenario plus every
-// oracle message, JSON-serializable for replay.
-type IsolationViolation struct {
-	Scenario *IsolationScenario `json:"scenario"`
-	Problems []string           `json:"problems"`
-}
-
-// Error implements error.
-func (v *IsolationViolation) Error() string {
-	return fmt.Sprintf("simcheck: isolation seed %d (%s): %d problem(s), first: %s",
-		v.Scenario.Seed, v.Scenario.Aggressor, len(v.Problems), v.Problems[0])
 }
 
 // GenIsolationScenario derives a complete noisy-neighbor trial from one
@@ -221,9 +210,36 @@ func (is *IsolationScenario) options(n int) fleet.Options {
 	}
 }
 
-// CheckIsolationScenario runs the trial and returns every oracle violation.
-func CheckIsolationScenario(is *IsolationScenario) []string {
-	return checkIsolation(is, nil, nil)
+// Validate rejects isolation scenarios the fleet runner would refuse: bad
+// tenant specs, no victim, or arrival rows out of step with the tenants.
+func (is *IsolationScenario) Validate() error {
+	return validateFleet(is.Config, is.Scheme, is.Workloads, len(is.Arrivals))
+}
+
+// shrinkIsolation proposes one-step simplifications of a noisy-neighbor
+// trial: drop one aggressor with its arrivals (the victim at index 0 stays),
+// or halve the horizon and the arrivals inside it.
+func shrinkIsolation(is *IsolationScenario) []*IsolationScenario {
+	var out []*IsolationScenario
+	for i := 1; i < len(is.Workloads); i++ {
+		c := *is
+		c.Workloads = dropAt(is.Workloads, i)
+		c.Arrivals = dropAt(is.Arrivals, i)
+		out = append(out, &c)
+	}
+	if is.DurationCycles > 1 {
+		c := *is
+		c.DurationCycles /= 2
+		c.Arrivals = make([][]int64, len(is.Arrivals))
+		for i, row := range is.Arrivals {
+			n := sort.Search(len(row), func(k int) bool { return row[k] >= c.DurationCycles })
+			c.Arrivals[i] = row[:n:n]
+		}
+		if len(c.Arrivals[0]) > 0 { // the containment oracle needs a victim request
+			out = append(out, &c)
+		}
+	}
+	return out
 }
 
 // filterTracer forwards events through fn, letting the mutation acceptance
@@ -240,28 +256,23 @@ func (f *filterTracer) Emit(e obs.Event) {
 	}
 }
 
-// checkIsolation is CheckIsolationScenario with mutation hooks: mutate may
-// corrupt or drop events between the runner and the oracles, mutateRes may
-// corrupt the noisy run's result. The mutation acceptance tests use the
-// hooks to prove injected enforcement bugs are caught; when either hook is
-// set the determinism oracle is skipped (a corrupted view trivially differs
-// from its clean re-run).
+// checkIsolation runs the trial and returns every oracle violation. The
+// Isolation arm passes nil hooks; the mutation acceptance tests set them to
+// prove injected enforcement bugs are caught: mutate may corrupt or drop
+// events between the runner and the oracles, mutateRes may corrupt the noisy
+// run's result. When either hook is set the determinism oracle is skipped (a
+// corrupted view trivially differs from its clean re-run).
 func checkIsolation(is *IsolationScenario,
 	mutate func(obs.Event) (obs.Event, bool), mutateRes func(*fleet.Result)) (problems []string) {
-	defer func() {
-		if r := recover(); r != nil {
-			problems = append(problems, fmt.Sprintf("panic: %v", r))
-		}
-	}()
 	sc := &Scenario{Config: is.Config, Workloads: is.Workloads}
 
-	// Arm 1: the victim alone on its slice — the containment baseline.
+	// Run 1: the victim alone on its slice — the containment baseline.
 	aloneRes, err := fleet.Run(sc.BuildWorkloads()[:1], is.options(1))
 	if err != nil {
 		return append(problems, fmt.Sprintf("victim-alone run error: %v", err))
 	}
 
-	// Arm 2: victim plus aggressors, event log attached.
+	// Run 2: victim plus aggressors, event log attached.
 	coreLog := &obs.Log{}
 	o := is.options(len(is.Workloads))
 	o.CoreTracer = func(core int, tenants []int) obs.Tracer {
@@ -275,15 +286,10 @@ func checkIsolation(is *IsolationScenario,
 		return append(problems, fmt.Sprintf("noisy run error: %v", err))
 	}
 
-	// Arm 3: determinism — the same seed must reproduce the noisy run bit
+	// Run 3: determinism — the same seed must reproduce the noisy run bit
 	// for bit, slice accounting included (the tracer may not perturb it).
 	if mutate == nil && mutateRes == nil {
-		rerun, err2 := fleet.Run(sc.BuildWorkloads(), is.options(len(is.Workloads)))
-		if err2 != nil {
-			problems = append(problems, fmt.Sprintf("noisy re-run error: %v", err2))
-		} else if !sameResult(noisyRes, rerun) {
-			problems = append(problems, "noisy run is not deterministic: re-run with the same seed differs")
-		}
+		problems = append(problems, checkRerun("noisy", noisyRes, sc.BuildWorkloads(), is.options(len(is.Workloads)))...)
 	}
 	if mutateRes != nil {
 		mutateRes(noisyRes)
@@ -412,35 +418,15 @@ func checkSliceConservation(is *IsolationScenario, res *fleet.Result, events []o
 // operator's traffic, so the per-op term is doubled to cover reload bytes.
 func inflightSlack(is *IsolationScenario, slice int) float64 {
 	var maxOp float64
+	residents := 0
 	for i, w := range is.Workloads {
-		ws := 0
-		if i > 0 {
-			ws = 1
-		}
-		if ws != slice {
+		if min(i, 1) != slice { // the victim is slice 0, every aggressor slice 1
 			continue
 		}
+		residents++
 		for _, op := range w.Ops {
-			if op.HBMBytes > maxOp {
-				maxOp = op.HBMBytes
-			}
-		}
-	}
-	residents := 0
-	for i := range is.Workloads {
-		if (i > 0) == (slice == 1) {
-			residents++
+			maxOp = math.Max(maxOp, op.HBMBytes)
 		}
 	}
 	return float64(residents) * (2*maxOp + 1)
-}
-
-// RunIsolationTrial generates and checks one noisy-neighbor trial, returning
-// nil on pass (v10check -isolation).
-func RunIsolationTrial(seed uint64) *IsolationViolation {
-	is := GenIsolationScenario(seed)
-	if problems := CheckIsolationScenario(is); len(problems) > 0 {
-		return &IsolationViolation{Scenario: is, Problems: problems}
-	}
-	return nil
 }

@@ -18,7 +18,7 @@ func TestIsolationCleanSweep(t *testing.T) {
 		n = 3
 	}
 	for seed := uint64(0); seed < n; seed++ {
-		if v := RunIsolationTrial(seed); v != nil {
+		if v := Isolation.Trial(seed); v != nil {
 			t.Errorf("seed %d (%s):\n%s", seed, v.Scenario.Aggressor, join(v.Problems))
 		}
 	}

@@ -1,39 +1,8 @@
 package simcheck
 
-// Minimize greedily shrinks a failing scenario while it keeps failing:
-// fewer schemes, fewer workloads, fewer requests, fewer and simpler
-// operators, then default knobs. Each candidate is re-checked from scratch
-// (at most maxChecks CheckScenario calls), so the returned repro fails for a
-// real reason, not an artifact of the shrinking. Returns the smallest failing
-// scenario found and its violation.
-func Minimize(sc *Scenario, maxChecks int) (*Scenario, *Violation) {
-	best := sc
-	bestV := CheckScenario(sc)
-	if bestV == nil {
-		return sc, nil
-	}
-	checks := 1
-	for improved := true; improved && checks < maxChecks; {
-		improved = false
-		for _, cand := range shrinkCandidates(best) {
-			if checks >= maxChecks {
-				break
-			}
-			if cand.Validate() != nil {
-				continue
-			}
-			checks++
-			if v := CheckScenario(cand); v != nil {
-				best, bestV = cand, v
-				improved = true
-				break // restart the pass from the shrunken scenario
-			}
-		}
-	}
-	return best, bestV
-}
-
-// shrinkCandidates proposes one-step simplifications, most aggressive first.
+// shrinkCandidates proposes one-step simplifications of a base or workload
+// scenario, most aggressive first: fewer schemes, fewer workloads, fewer
+// requests, fewer and simpler operators, then default knobs.
 func shrinkCandidates(s *Scenario) []*Scenario {
 	var out []*Scenario
 	add := func(c *Scenario) {
@@ -52,7 +21,10 @@ func shrinkCandidates(s *Scenario) []*Scenario {
 	if len(s.Workloads) > 1 {
 		for i := range s.Workloads {
 			c := s.clone()
-			c.Workloads = append(c.Workloads[:i], c.Workloads[i+1:]...)
+			c.Workloads = dropAt(c.Workloads, i)
+			if s.ArrivalCycles != nil { // keep each schedule with its workload
+				c.ArrivalCycles = dropAt(c.ArrivalCycles, i)
+			}
 			c.Clones = c.Clones && len(c.Workloads) > 1
 			add(c)
 		}
@@ -66,8 +38,7 @@ func shrinkCandidates(s *Scenario) []*Scenario {
 		if len(s.Workloads[i].Ops) > 1 {
 			for j := range s.Workloads[i].Ops {
 				c := s.clone()
-				ops := c.Workloads[i].Ops
-				c.Workloads[i].Ops = append(ops[:j], ops[j+1:]...)
+				c.Workloads[i].Ops = dropAt(c.Workloads[i].Ops, j)
 				c.Clones = false
 				add(c)
 			}
@@ -123,10 +94,12 @@ func zeroDurationWorkload(s *Scenario) bool {
 	return false
 }
 
-// clone deep-copies the scenario (Config is a plain value struct).
+// clone deep-copies the scenario (Config is a plain value struct). The
+// arrival rows themselves are shared: shrinking drops rows, never edits one.
 func (s *Scenario) clone() *Scenario {
 	c := *s
 	c.Schemes = append([]string(nil), s.Schemes...)
+	c.ArrivalCycles = append([][]int64(nil), s.ArrivalCycles...)
 	c.Workloads = make([]WorkloadSpec, len(s.Workloads))
 	for i, w := range s.Workloads {
 		w.Ops = append([]OpSpec(nil), w.Ops...)

@@ -185,10 +185,15 @@ func TestMutationMakespanCaughtBySerialOracle(t *testing.T) {
 func TestMinimizeShrinksFailure(t *testing.T) {
 	sc := GenScenario(5)
 	sc.MaxCycles = 10
-	min, v := Minimize(sc, 150)
+	v := Base.Run(sc)
 	if v == nil {
+		t.Fatal("scenario with a 10-cycle budget passed")
+	}
+	v = Base.Minimize(v, 150)
+	if Base.Run(v.Scenario) == nil {
 		t.Fatal("minimized scenario no longer fails")
 	}
+	min := v.Scenario
 	if len(min.Schemes) != 1 {
 		t.Errorf("minimizer kept %d schemes, want 1", len(min.Schemes))
 	}

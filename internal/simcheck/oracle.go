@@ -1,7 +1,11 @@
 package simcheck
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
+	"hash"
+	"math"
 	"reflect"
 
 	"v10/internal/metrics"
@@ -40,18 +44,11 @@ func fluidCycles(op trace.Op, capacity float64) int64 {
 // serialExpectation returns the tiled operator stream and the exact
 // uncontended per-request cycle count for workload wi under the scheme.
 func serialExpectation(sc *Scenario, scheme string, wi int) ([]trace.Op, int64) {
-	reload := sc.VMemReloadFactor
-	if reload == 0 {
-		reload = 0.5
-	}
+	ops := sc.tiledOps(sc.Workloads[wi], scheme)
 	lat := sc.DispatchLatency
 	if scheme == SchemePMT {
-		reload = 0.5
 		lat = 0
 	}
-	part := sc.Config.VMemBytes / int64(len(sc.Workloads))
-	g := trace.TileForVMem(sc.Workloads[wi].graph(), part, reload)
-	ops := g.Linearize()
 	capacity := sc.Config.HBMBytesPerCycle()
 	var perReq int64
 	for _, op := range ops {
@@ -65,8 +62,7 @@ func serialExpectation(sc *Scenario, scheme string, wi int) ([]trace.Op, int64) 
 // preemptions, makespan = requests x the independently computed per-request
 // time, and every traced stall/run span matching the operator it executes.
 func checkSerial(sc *Scenario, out *Outcome) []string {
-	if len(sc.Workloads) != 1 || sc.ArrivalRateHz > 0 || sc.ArrivalCycles != nil ||
-		out.Result == nil || out.Err != nil {
+	if !sc.serial() || out.Result == nil || out.Err != nil {
 		return nil
 	}
 	var problems []string
@@ -267,6 +263,41 @@ func sumLatency(st *metrics.WorkloadStats) float64 {
 	return t
 }
 
+// EventDigest is a Tracer that folds every event, field by field in
+// emission order, into a running SHA-256, so the determinism oracle compares
+// two runs' full event streams in constant memory.
+type EventDigest struct {
+	N   int // events folded so far
+	h   hash.Hash
+	buf []byte
+}
+
+// Emit implements obs.Tracer.
+func (d *EventDigest) Emit(e obs.Event) {
+	if d.h == nil {
+		d.h = sha256.New()
+	}
+	b := d.buf[:0]
+	for _, x := range [...]int64{e.Time, e.Dur, int64(e.Type), int64(e.WIdx), int64(e.FUKind),
+		int64(e.FUIndex), int64(e.Request), int64(e.Op), int64(len(e.Workload))} {
+		b = binary.LittleEndian.AppendUint64(b, uint64(x))
+	}
+	b = append(b, e.Workload...)
+	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(e.Arg0))
+	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(e.Arg1))
+	d.h.Write(b)
+	d.buf = b
+	d.N++
+}
+
+// Sum returns the digest of every event emitted so far.
+func (d *EventDigest) Sum() (sum [sha256.Size]byte) {
+	if d.h != nil {
+		d.h.Sum(sum[:0])
+	}
+	return sum
+}
+
 // checkDeterminism reruns one scheme and requires a bit-identical result and
 // event stream: the simulator's contract is full determinism per seed.
 func checkDeterminism(a, b *Outcome) []string {
@@ -277,9 +308,9 @@ func checkDeterminism(a, b *Outcome) []string {
 	if !reflect.DeepEqual(a.Result, b.Result) {
 		problems = append(problems, "determinism oracle: rerunning the same scheme produced a different result")
 	}
-	if !reflect.DeepEqual(a.Events, b.Events) {
+	if a.Digest.N != b.Digest.N || a.Digest.Sum() != b.Digest.Sum() {
 		problems = append(problems, fmt.Sprintf(
-			"determinism oracle: rerun emitted %d events vs %d, or with different contents", len(b.Events), len(a.Events)))
+			"determinism oracle: rerun emitted %d events vs %d, or with different contents", b.Digest.N, a.Digest.N))
 	}
 	return problems
 }

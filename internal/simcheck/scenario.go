@@ -14,14 +14,13 @@
 //     (makespan and per-op timing, computed independently), that equal-
 //     priority scheduling is permutation-fair within a bound, and that runs
 //     are bit-deterministic.
-//   - Violation captures a failing trial as a seed-addressed, minimized,
-//     JSON-serializable repro that cmd/v10check and the fuzz targets replay.
+//   - Harness runs each of the five v10check arms (base, workload, chaos,
+//     isolation, elastic) through one trial, minimize and repro path; its
+//     Violation is the JSON repro that v10check -replay re-executes.
 package simcheck
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 
 	"v10/internal/npu"
 	"v10/internal/trace"
@@ -110,6 +109,18 @@ func (w WorkloadSpec) graph() *trace.Graph {
 		}
 	}
 	return g
+}
+
+// tiledOps is the operator stream the runner executes for one request of w:
+// its graph tiled to the per-tenant vector-memory partition and linearized.
+// PMT hard-codes the 0.5 reload factor (as baseline.loadRequest does); the
+// V10 schemes use the scenario's, defaulting to 0.5.
+func (s *Scenario) tiledOps(w WorkloadSpec, scheme string) []trace.Op {
+	reload := s.VMemReloadFactor
+	if reload == 0 || scheme == SchemePMT {
+		reload = 0.5
+	}
+	return trace.TileForVMem(w.graph(), s.Config.VMemBytes/int64(len(s.Workloads)), reload).Linearize()
 }
 
 // BuildWorkloads materializes the scenario's workload set in declaration
@@ -225,27 +236,8 @@ func (s *Scenario) equalPriorities() bool {
 	return true
 }
 
-// WriteFile serializes the scenario as indented JSON.
-func (s *Scenario) WriteFile(path string) error {
-	data, err := json.MarshalIndent(s, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// ReadScenario loads a scenario repro file written by WriteFile / v10check.
-func ReadScenario(path string) (*Scenario, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var s Scenario
-	if err := json.Unmarshal(data, &s); err != nil {
-		return nil, fmt.Errorf("simcheck: %s: %w", path, err)
-	}
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	return &s, nil
+// serial reports whether the scenario is a single workload in the closed
+// loop: the case where every scheme must equal serial execution.
+func (s *Scenario) serial() bool {
+	return len(s.Workloads) == 1 && s.ArrivalRateHz == 0 && s.ArrivalCycles == nil
 }

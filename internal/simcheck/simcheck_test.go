@@ -54,10 +54,14 @@ func TestGenScenarioRejectsUnaffordableDraws(t *testing.T) {
 func TestScenarioRoundTrip(t *testing.T) {
 	sc := GenScenario(7)
 	path := filepath.Join(t.TempDir(), "repro.json")
-	if err := sc.WriteFile(path); err != nil {
+	if err := (&Violation[*Scenario]{Arm: Base.Name, Scenario: sc}).WriteFile(path); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadScenario(path)
+	r, err := ReadRepro(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Base.Decode(r.Scenario)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,8 +93,8 @@ func TestSerialOracleKnownValue(t *testing.T) {
 	if perReq != 1700 {
 		t.Fatalf("serialExpectation = %d, want 1700", perReq)
 	}
-	if v := CheckScenario(sc); v != nil {
-		t.Fatalf("hand scenario violated:\n%s", join(v.Problems))
+	if p := CheckScenario(sc); len(p) > 0 {
+		t.Fatalf("hand scenario violated:\n%s", join(p))
 	}
 	for _, scheme := range AllSchemes {
 		out := RunScheme(sc, scheme, false)
@@ -119,7 +123,7 @@ func TestTrialSweep(t *testing.T) {
 		n = 10
 	}
 	for seed := uint64(0); seed < n; seed++ {
-		if v := RunTrial(seed); v != nil {
+		if v := Base.Trial(seed); v != nil {
 			t.Errorf("seed %d:\n%s", seed, join(v.Problems))
 			if t.Failed() && seed > 0 { // report the first few, not hundreds
 				return

@@ -10,53 +10,32 @@ import (
 	"v10/internal/sched"
 )
 
-// EventLog is a Tracer that records the full event stream in memory, for the
-// oracles (serial timing, determinism) and for Chrome-trace export of repros.
-// It aliases obs.Log, which the fleet runner shares for per-core capture.
-type EventLog = obs.Log
-
-// Outcome is one scheme's run: its result, full event stream, and every
-// invariant the Checker flagged.
+// Outcome is one scheme's run: its result, a digest of its event stream, and
+// every invariant the Checker flagged. Events holds the full stream only for
+// single-workload closed-loop runs, the one case the serial oracle replays;
+// everywhere else the digest keeps a run's memory independent of its length.
 type Outcome struct {
 	Scheme   string
 	Result   *metrics.RunResult
 	Events   []obs.Event
+	Digest   EventDigest
 	Problems []string
 	Err      error
 }
 
-// Violation is a failed trial: the (possibly minimized) scenario plus every
-// oracle and invariant message. It serializes to a repro file that v10check
-// -replay and the fuzz targets re-execute byte-for-byte.
-type Violation struct {
-	Scenario *Scenario `json:"scenario"`
-	Problems []string  `json:"problems"`
-}
-
-// Error implements error.
-func (v *Violation) Error() string {
-	return fmt.Sprintf("simcheck: seed %d: %d problem(s), first: %s",
-		v.Scenario.Seed, len(v.Problems), v.Problems[0])
-}
-
 // RunScheme executes one scheme over the scenario with the invariant checker
-// riding the tracer hook, recovering panics into problems. reversed flips the
-// workload submission order (the permutation oracles' second run).
-func RunScheme(sc *Scenario, scheme string, reversed bool) (out *Outcome) {
-	out = &Outcome{Scheme: scheme}
+// and the event digest riding the tracer hook. reversed flips the workload
+// submission order (the permutation oracles' second run).
+func RunScheme(sc *Scenario, scheme string, reversed bool) *Outcome {
+	out := &Outcome{Scheme: scheme}
 	ck := NewChecker(sc, scheme, reversed)
-	log := &EventLog{}
-
-	defer func() {
-		out.Events = log.Events
-		if r := recover(); r != nil {
-			out.Problems = append(out.Problems, fmt.Sprintf("panic: %v", r))
-		}
-	}()
-
-	res, err := Execute(sc, scheme, reversed, obs.Multi(ck, log))
-	out.Result = res
-	out.Err = err
+	tracer := obs.Multi(ck, &out.Digest)
+	var log obs.Log
+	if sc.serial() {
+		tracer = obs.Multi(tracer, &log)
+	}
+	res, err := Execute(sc, scheme, reversed, tracer)
+	out.Result, out.Err, out.Events = res, err, log.Events
 	if err != nil && !errors.Is(err, sched.ErrMaxCycles) {
 		out.Problems = append(out.Problems, fmt.Sprintf("run error: %v", err))
 	}
@@ -113,7 +92,7 @@ func Execute(sc *Scenario, scheme string, reversed bool, tracer obs.Tracer) (*me
 
 // CheckScenario runs every scheme the scenario names through the invariant
 // checker and the differential oracles, returning nil when all pass.
-func CheckScenario(sc *Scenario) *Violation {
+func CheckScenario(sc *Scenario) []string {
 	var problems []string
 	report := func(scheme string, msgs []string) {
 		for _, m := range msgs {
@@ -163,10 +142,7 @@ func CheckScenario(sc *Scenario) *Violation {
 		}
 	}
 
-	if len(problems) == 0 {
-		return nil
-	}
-	return &Violation{Scenario: sc, Problems: problems}
+	return problems
 }
 
 // Fairness-oracle bounds, validated over large seed sweeps with headroom (see
@@ -177,13 +153,3 @@ const (
 	permLatencyBound  = 4.0
 	permMakespanBound = 2.0
 )
-
-// RunTrial generates the scenario for a seed and checks it. A generator
-// emitting an invalid scenario is itself reported as a violation.
-func RunTrial(seed uint64) *Violation {
-	sc := GenScenario(seed)
-	if err := sc.Validate(); err != nil {
-		return &Violation{Scenario: sc, Problems: []string{"generator produced invalid scenario: " + err.Error()}}
-	}
-	return CheckScenario(sc)
-}

@@ -87,7 +87,7 @@ func TestWorkloadTrialSweep(t *testing.T) {
 		n = 10
 	}
 	for seed := uint64(0); seed < n; seed++ {
-		if v := RunWorkloadTrial(seed); v != nil {
+		if v := Workload.Trial(seed); v != nil {
 			t.Errorf("seed %d:\n%s", seed, join(v.Problems))
 			if t.Failed() && seed > 0 {
 				return
