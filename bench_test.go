@@ -288,7 +288,7 @@ func BenchmarkFluidPool(b *testing.B) {
 		for t := 0; t < 64; t++ {
 			work := float64(100 + t*13%500)
 			demand := float64(t * 17 % 600)
-			e.Schedule(int64(t*50), func(sim.Cycle) { pool.Start(work, demand, nil) })
+			e.Schedule(int64(t*50), func(sim.Cycle) { pool.StartTask(work, demand, nil, nil) })
 		}
 		for e.Step() {
 		}
