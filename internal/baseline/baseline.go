@@ -242,11 +242,15 @@ type pmtRunner struct {
 	wls     []*pmtWL
 	prioSum float64
 
-	active     int
-	task       *sim.FluidTask
-	stallEvent *sim.Event
-	sliceEvent *sim.Event
-	epoch      uint64 // invalidates stale callbacks across context switches
+	// The engine events and the fluid task carry the runner itself as their
+	// payload, so the per-operator path allocates nothing. A slice expiry
+	// cancels the pending stall event or preempts the task, so no stale
+	// callback can fire after a context switch.
+	active       int
+	task         *sim.FluidTask
+	stallEvent   *sim.Event // pending stall phase; cleared when it fires
+	next         int        // workload taking the core after the pending switch
+	switchCycles int64      // length of the pending context switch
 }
 
 func (wl *pmtWL) loadRequest(cfg npu.CoreConfig, tenants int) {
@@ -316,20 +320,19 @@ func (r *pmtRunner) quantum(wl *pmtWL) int64 {
 // activate gives the core to workload idx and arms its slice timer.
 func (r *pmtRunner) activate(idx int, now int64) {
 	r.active = idx
-	r.epoch++
 	wl := r.wls[idx]
 	if r.tr != nil {
 		r.tr.Emit(r.event(obs.EvDispatch, now, 0, wl, kindOf(wl.ops[wl.opIdx].Kind)))
 	}
 	if len(r.wls) > 1 {
-		epoch := r.epoch
-		r.sliceEvent = r.engine.Schedule(now+r.quantum(wl), func(t int64) {
-			if epoch == r.epoch {
-				r.sliceExpired(t)
-			}
-		})
+		r.engine.ScheduleCall(now+r.quantum(wl), sliceExpiredCB, r)
 	}
 	r.resumeOp(wl, now)
+}
+
+// sliceExpiredCB fires at the end of the active workload's slice.
+func sliceExpiredCB(payload any, now int64) {
+	payload.(*pmtRunner).sliceExpired(now)
 }
 
 // resumeOp continues the active workload's current operator from wherever
@@ -341,21 +344,25 @@ func (r *pmtRunner) resumeOp(wl *pmtWL, now int64) {
 		if stall < 0 {
 			stall = op.Stall
 		}
-		epoch := r.epoch
-		r.stallEvent = r.engine.Schedule(now+stall, func(t int64) {
-			if epoch != r.epoch {
-				return
-			}
-			wl.started = true
-			wl.remainingStall = -1
-			if r.tr != nil {
-				r.tr.Emit(r.event(obs.EvStall, t, stall, wl, obs.FUNone))
-			}
-			r.runOp(wl, t)
-		})
+		r.stallEvent = r.engine.ScheduleCall(now+stall, stallDoneCB, r)
 		wl.remainingStall = stall
 		wl.stallStartedAt = now
 		return
+	}
+	r.runOp(wl, now)
+}
+
+// stallDoneCB ends the active workload's stall phase and starts its compute.
+// The pooled event is recycled on firing, so its handle is cleared first.
+func stallDoneCB(payload any, now int64) {
+	r := payload.(*pmtRunner)
+	r.stallEvent = nil
+	wl := r.wls[r.active]
+	stall := wl.remainingStall
+	wl.started = true
+	wl.remainingStall = -1
+	if r.tr != nil {
+		r.tr.Emit(r.event(obs.EvStall, now, stall, wl, obs.FUNone))
 	}
 	r.runOp(wl, now)
 }
@@ -374,14 +381,15 @@ func (r *pmtRunner) runOp(wl *pmtWL, now int64) {
 	kind := kindOf(op.Kind)
 	r.setBusy(now, kind, +1)
 	wl.segStart = now
-	epoch := r.epoch
-	r.task = r.pool.Start(work, demand, func(t int64) {
-		if epoch != r.epoch {
-			return
-		}
-		r.opComplete(wl, t)
-	})
+	r.task = r.pool.StartTask(work, demand, opDoneCB, r)
 	wl.remainingCompute = work
+}
+
+// opDoneCB is the fluid-task completion callback: only the active workload
+// ever has a task running.
+func opDoneCB(owner any, _ *sim.FluidTask, now int64) {
+	r := owner.(*pmtRunner)
+	r.opComplete(r.wls[r.active], now)
 }
 
 func (r *pmtRunner) opComplete(wl *pmtWL, now int64) {
@@ -452,6 +460,7 @@ func (r *pmtRunner) sliceExpired(now int64) {
 		}
 	} else if r.stallEvent != nil {
 		r.stallEvent.Cancel()
+		r.stallEvent = nil
 		elapsed := now - wl.stallStartedAt
 		before := wl.remainingStall
 		wl.remainingStall -= elapsed
@@ -470,19 +479,23 @@ func (r *pmtRunner) sliceExpired(now int64) {
 		}
 	}
 	wl.stats.Preemptions++
-	r.epoch++
 
 	// Whole-core context switch: nothing executes while state round-trips
 	// through HBM.
-	switchCycles := r.opts.Config.PMTContextSwitchCycles(r.rng.Float64())
-	wl.stats.SwitchCycles += switchCycles
-	next := r.pickNext()
-	r.engine.Schedule(now+switchCycles, func(t int64) {
-		if r.tr != nil {
-			r.tr.Emit(r.event(obs.EvCtxSave, t, switchCycles, wl, obs.FUNone))
-		}
-		r.activate(next, t)
-	})
+	r.switchCycles = r.opts.Config.PMTContextSwitchCycles(r.rng.Float64())
+	wl.stats.SwitchCycles += r.switchCycles
+	r.next = r.pickNext()
+	r.engine.ScheduleCall(now+r.switchCycles, ctxSwitchCB, r)
+}
+
+// ctxSwitchCB ends a whole-core context switch: the outgoing workload is
+// still r.active until the next one is activated.
+func ctxSwitchCB(payload any, now int64) {
+	r := payload.(*pmtRunner)
+	if r.tr != nil {
+		r.tr.Emit(r.event(obs.EvCtxSave, now, r.switchCycles, r.wls[r.active], obs.FUNone))
+	}
+	r.activate(r.next, now)
 }
 
 // pickNext selects the workload to receive the core after a switch.

@@ -101,14 +101,28 @@ type PairPerf func(a, b *trace.Workload) (float64, error)
 // oracle reports an explicit ambiguous-duplicate-name error the first time
 // the second identity appears. The returned function is goroutine-safe:
 // concurrent requests for the same pair wait on a single in-flight
-// simulation (singleflight) instead of racing to run it twice.
+// simulation (singleflight) instead of racing to run it twice. Each
+// tenant's single-tenant rate is memoized by the same identity, so a tenant
+// sampled into many pairs runs alone once.
 func SimPairPerf(cfg npu.CoreConfig, requests int) PairPerf {
 	var (
 		mu    sync.Mutex
 		ids   = map[*trace.Workload]int{} // identity → dense cache id
 		named = map[string]*trace.Workload{}
 		memo  parallel.Memo[[2]int, float64]
+		solo  parallel.Memo[int, float64] // single-tenant rate by cache id
 	)
+	// rate is one tenant's single-tenant progress rate (SingleTenantRates'
+	// per-workload term, with its error wrapping).
+	rate := func(id int, w *trace.Workload) (float64, error) {
+		return solo.Do(id, func() (float64, error) {
+			res, err := baseline.RunSingle(w, cfg, requests)
+			if err != nil {
+				return 0, fmt.Errorf("single-tenant %s: %w", w.Name, err)
+			}
+			return res.ProgressRate(0), nil
+		})
+	}
 	// identify registers a workload's identity under mu, rejecting a second
 	// distinct workload with an already-registered name.
 	identify := func(w *trace.Workload) (int, error) {
@@ -136,7 +150,15 @@ func SimPairPerf(cfg npu.CoreConfig, requests int) PairPerf {
 					key[0], key[1] = key[1], key[0]
 				}
 				return memo.Do(key, func() (float64, error) {
-					return simPairPerf(a, b, cfg, requests)
+					ra, err := rate(ia, a)
+					if err != nil {
+						return 0, err
+					}
+					rb, err := rate(ib, b)
+					if err != nil {
+						return 0, err
+					}
+					return simPairPerf(a, b, []float64{ra, rb}, cfg, requests)
 				})
 			}
 		}
@@ -145,15 +167,12 @@ func SimPairPerf(cfg npu.CoreConfig, requests int) PairPerf {
 	}
 }
 
-// simPairPerf runs the three simulations behind one oracle query. Each
-// simulation engine is confined to this goroutine; the result depends only on
-// the pair, config, and request count, so it is deterministic.
-func simPairPerf(a, b *trace.Workload, cfg npu.CoreConfig, requests int) (float64, error) {
+// simPairPerf runs the two collocated simulations behind one oracle query,
+// normalized by the pair's single-tenant rates. Each simulation engine is
+// confined to this goroutine; the result depends only on the pair, config,
+// and request count, so it is deterministic.
+func simPairPerf(a, b *trace.Workload, rates []float64, cfg npu.CoreConfig, requests int) (float64, error) {
 	pair := []*trace.Workload{a, b}
-	rates, err := baseline.SingleTenantRates(pair, cfg, requests)
-	if err != nil {
-		return 0, err
-	}
 	pmt, err := baseline.RunPMT(pair, baseline.PMTOptions{
 		Config: cfg, RequestsPerWorkload: requests, Seed: 1,
 	})

@@ -539,15 +539,17 @@ type tenantProfile struct {
 
 // EstimateServeCycles is the dispatcher's service-time estimator for one
 // tenant: the mean serial stall+compute total of its first profileRequests
-// request graphs, tiled against a half-core vector-memory partition (the
-// typical residency the placement aims for is two tenants per core). The
-// simcheck estimate-consistency oracle recomputes it independently to pin the
+// request graphs. Tiling for a vector-memory partition splits each operator's
+// integer stall and compute exactly, and float64 sums of integers below 2^53
+// are exact, so the untiled sum equals the sum at any partition bit for bit
+// (TestTilingKeepsSerialCycles) and no tiling is done. The simcheck
+// estimate-consistency oracle recomputes it independently to pin the
 // dispatcher's queue booking and SLO denominators (modulo EstimateScale).
+// The estimate does not depend on cfg.
 func EstimateServeCycles(w *trace.Workload, cfg npu.CoreConfig, profileRequests int) float64 {
 	if profileRequests < 1 {
 		profileRequests = 1
 	}
-	part := cfg.VMemBytes / 2
 	var total float64
 	var scratch *trace.Graph
 	for rq := 0; rq < profileRequests; rq++ {
@@ -555,9 +557,9 @@ func EstimateServeCycles(w *trace.Workload, cfg npu.CoreConfig, profileRequests 
 		if owned {
 			scratch = g
 		}
-		// Both generated and tiled graphs are in execution (ID) order, so
-		// summing Ops directly visits operators exactly as Linearize would.
-		for _, op := range trace.TileForVMem(g, part, 0.5).Ops {
+		// Generated graphs are in execution (ID) order, so summing Ops
+		// directly visits operators exactly as Linearize would.
+		for _, op := range g.Ops {
 			total += float64(op.Stall + op.Compute)
 		}
 	}

@@ -64,8 +64,8 @@ type Graph struct {
 	Ops []Op
 
 	// DepsBuf is scratch backing for the Ops' Deps slices, owned by
-	// buffer-reusing generators (NewWorkloadReusable): pooling every
-	// single-entry Deps slice in one array lets a generator rebuild the graph
+	// buffer-reusing generators (NewWorkloadReusable) and by OpStream's
+	// tiling: pooling every Deps slice in one array lets the graph be rebuilt
 	// per request without per-op allocations. Ordinary consumers ignore it.
 	DepsBuf []int
 }
