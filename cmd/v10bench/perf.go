@@ -26,6 +26,9 @@ type perfFlags struct {
 // code.
 func runPerf(f perfFlags) int {
 	if f.cpuProfile != "" {
+		// Calibrate once (the result is memoized) before profiling starts,
+		// so the profile holds only the suites.
+		bench.Calibrate()
 		pf, err := os.Create(f.cpuProfile)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
