@@ -47,6 +47,12 @@ func (e Engine) Schedule(tenant int, spec Spec) ([]int64, error) {
 	// underlying counter sequence, correlating their streams almost exactly.
 	rng := mathx.NewRNG(e.Seed + 0x7ea4f1c + uint64(tenant)*0xd1342543de82ef95)
 	g := &gen{rng: rng, start: spec.StartCycle, end: spec.EndCycle}
+	// Every process is normalized to RateHz, so size the schedule for its
+	// mean count plus four standard deviations: a Poisson stream then fills
+	// one allocation instead of regrowing through a dozen.
+	if mean := spec.RateHz * float64(spec.EndCycle-spec.StartCycle) / cfg.FrequencyHz; mean > 0 && mean < maxArrivalsPerTenant {
+		g.out = make([]int64, 0, int(mean+4*math.Sqrt(mean))+1)
+	}
 
 	var err error
 	switch spec.Process {

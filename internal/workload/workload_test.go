@@ -327,3 +327,26 @@ func equalInt64s(a, b []int64) bool {
 	}
 	return true
 }
+
+// TestScheduleSizedOnce: a Poisson schedule is sized for its mean count up
+// front, so generating one costs a fixed handful of allocations instead of
+// regrowing its slice about a dozen times.
+func TestScheduleSizedOnce(t *testing.T) {
+	e := Engine{HorizonCycles: 2_000_000_000, Seed: 1}
+	spec := Spec{Process: Poisson, RateHz: 120}
+	sc, err := e.Schedule(0, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sc) < 200 {
+		t.Fatalf("schedule has %d arrivals, want about 343", len(sc))
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := e.Schedule(0, spec); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 3 {
+		t.Fatalf("Schedule allocates %.0f objects for %d arrivals, want ≤ 3", allocs, len(sc))
+	}
+}
