@@ -8,7 +8,7 @@ package sim
 type Cycle = int64
 
 // Event is a scheduled callback. Events are single-shot; Cancel prevents a
-// pending event from firing.
+// pending event from firing, and Engine.Reschedule moves it.
 //
 // Events come in two flavors. Schedule events carry a closure and live until
 // the GC collects them — holding the returned handle past firing is safe
@@ -199,16 +199,91 @@ func (e *Engine) ScheduleCall(at Cycle, cb func(payload any, now Cycle), payload
 		panic("sim: scheduling event in the past")
 	}
 	e.seq++
+	ev := e.pushCall(at, e.seq, cb, payload)
+	e.live++
+	return ev
+}
+
+// pushCall inserts a pooled cb(payload) event with the given heap key.
+func (e *Engine) pushCall(at Cycle, seq uint64, cb func(payload any, now Cycle), payload any) *Event {
 	ev := e.alloc()
 	ev.At = at
-	ev.seq = e.seq
+	ev.seq = seq
 	ev.cb = cb
 	ev.payload = payload
 	ev.pooled = true
 	ev.eng = e
 	e.push(ev)
-	e.live++
 	return ev
+}
+
+// series is one ScheduleSeries stream: its next firing is the only one in
+// the heap, keyed by the sequence number reserved for it.
+type series struct {
+	eng     *Engine
+	times   []Cycle
+	next    int    // index of the firing in the heap
+	seq0    uint64 // sequence number reserved for times[0]
+	cb      func(payload any, now Cycle)
+	payload any
+}
+
+// ScheduleSeries registers cb(payload) to run once at each of times, which
+// must be nondecreasing and not in the past. It fires exactly as len(times)
+// ScheduleCall calls made here would — one scheduling sequence number is
+// reserved per time, so every firing keeps its (At, seq) tie-break and
+// EventStats counts each time as scheduled — but only the next firing
+// occupies a heap slot: a long arrival stream costs O(log live) per pop
+// instead of sifting through every future arrival. The engine reads times
+// as the series fires, so the caller must not modify it; the series cannot
+// be canceled.
+func (e *Engine) ScheduleSeries(times []Cycle, cb func(payload any, now Cycle), payload any) {
+	if len(times) == 0 {
+		return
+	}
+	prev := e.now
+	for _, at := range times {
+		if at < prev {
+			panic("sim: series time in the past or decreasing")
+		}
+		prev = at
+	}
+	s := &series{eng: e, times: times, seq0: e.seq + 1, cb: cb, payload: payload}
+	e.seq += uint64(len(times))
+	e.live += len(times)
+	e.pushCall(times[0], s.seq0, seriesFire, s)
+}
+
+// seriesFire is the series trampoline: it pushes the following time with
+// its reserved sequence number, then runs the series callback.
+func seriesFire(payload any, now Cycle) {
+	s := payload.(*series)
+	s.next++
+	if s.next < len(s.times) {
+		s.eng.pushCall(s.times[s.next], s.seq0+uint64(s.next), seriesFire, s)
+	}
+	s.cb(s.payload, now)
+}
+
+// Reschedule moves a pending event to fire at cycle at. The event takes a
+// fresh sequence number — the (At, seq) key Cancel followed by ScheduleCall
+// would give it — and is sifted in place, so no dead entry is left in the
+// heap. The dropped firing is counted as canceled, keeping EventStats equal
+// to the Cancel-plus-schedule sequence. Rescheduling an event that is not
+// pending (fired, firing, or canceled) panics.
+func (e *Engine) Reschedule(ev *Event, at Cycle) {
+	if ev.eng != e || ev.index < 0 || ev.canceled {
+		panic("sim: rescheduling an event that is not pending")
+	}
+	if at < e.now {
+		panic("sim: scheduling event in the past")
+	}
+	e.seq++
+	e.canceled++
+	ev.At = at
+	ev.seq = e.seq
+	e.siftUp(ev.index)
+	e.siftDown(ev.index)
 }
 
 // After registers fn to run delay cycles from now.

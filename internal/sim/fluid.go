@@ -246,15 +246,7 @@ func (p *FluidPool) recompute() {
 			}
 			t.rate = 1
 			p.throttled--
-			t.doneEvent.Cancel()
-			t.doneEvent = nil
-			remaining := ceilDiv(t.Work, 1)
-			at := now + Cycle(remaining)
-			if remaining >= maxFluidCycles || at < now {
-				at = Cycle(maxFluidCycles)
-			}
-			t.doneEvent = p.engine.ScheduleCall(at, fluidComplete, t)
-			p.reschedules++
+			p.schedule(t, now)
 		}
 		return
 	}
@@ -288,18 +280,31 @@ func (p *FluidPool) recompute() {
 			}
 		}
 		t.rate = rate
-		t.doneEvent.Cancel()
-		t.doneEvent = nil
 		if rate > 0 {
-			remaining := ceilDiv(t.Work, rate)
-			at := now + Cycle(remaining)
-			if remaining >= maxFluidCycles || at < now {
-				at = Cycle(maxFluidCycles)
-			}
-			t.doneEvent = p.engine.ScheduleCall(at, fluidComplete, t)
-			p.reschedules++
+			p.schedule(t, now)
+		} else {
+			t.doneEvent.Cancel()
+			t.doneEvent = nil
 		}
 	}
+}
+
+// schedule sets t's completion to land when its remaining work finishes at
+// its current rate. A pending completion is moved in place (Reschedule), so
+// rate changes leave no dead entries in the heap; its key is the one a
+// cancel-and-reschedule would give, so the firing order is unchanged.
+func (p *FluidPool) schedule(t *FluidTask, now Cycle) {
+	remaining := ceilDiv(t.Work, t.rate)
+	at := now + Cycle(remaining)
+	if remaining >= maxFluidCycles || at < now {
+		at = Cycle(maxFluidCycles)
+	}
+	if t.doneEvent != nil {
+		p.engine.Reschedule(t.doneEvent, at)
+	} else {
+		t.doneEvent = p.engine.ScheduleCall(at, fluidComplete, t)
+	}
+	p.reschedules++
 }
 
 // emitRebalance reports one allocation re-solve to the tracer.
