@@ -109,7 +109,7 @@ func (o PMTOptions) withDefaults() (PMTOptions, error) {
 }
 
 // target returns how many requests workload i must serve before the run ends.
-func (o PMTOptions) target(i int) int {
+func (o *PMTOptions) target(i int) int {
 	if o.RequestTargets != nil {
 		return o.RequestTargets[i]
 	}
@@ -173,16 +173,14 @@ func RunPMT(workloads []*trace.Workload, opts PMTOptions) (*metrics.RunResult, e
 		wls: wls, prioSum: prioSum, tr: opts.Tracer,
 	}
 	pool.Tracer = opts.Tracer
+	for i, wl := range wls {
+		if wl.stats.Requests < opts.target(i) {
+			r.unmet++
+		}
+	}
 	r.activate(0, 0)
 
-	done := func() bool {
-		for i, wl := range wls {
-			if wl.stats.Requests < opts.target(i) {
-				return false
-			}
-		}
-		return true
-	}
+	done := func() bool { return r.unmet == 0 }
 	finished := engine.RunUntil(done, opts.MaxCycles)
 	now := engine.Now()
 	// Close the in-flight compute segment so the results account occupancy up
@@ -242,6 +240,10 @@ type pmtRunner struct {
 	wls     []*pmtWL
 	prioSum float64
 
+	// unmet counts workloads still short of their request target, so the
+	// done-predicate is O(1) per event (the sched.Run idiom).
+	unmet int
+
 	// The engine events and the fluid task carry the runner itself as their
 	// payload, so the per-operator path allocates nothing. A slice expiry
 	// cancels the pending stall event or preempts the task, so no stale
@@ -265,8 +267,8 @@ func (wl *pmtWL) loadRequest(cfg npu.CoreConfig, tenants int) {
 	// Update the PREMA job-length estimate (exponential running mean over
 	// the compute cycles of recent requests).
 	var comp float64
-	for _, op := range wl.ops {
-		comp += float64(op.Compute)
+	for i := range wl.ops {
+		comp += float64(wl.ops[i].Compute)
 	}
 	if wl.estWork == 0 {
 		wl.estWork = comp
@@ -425,6 +427,9 @@ func (r *pmtRunner) opComplete(wl *pmtWL, now int64) {
 			r.tr.Emit(e)
 		}
 		wl.stats.Requests++
+		if wl.stats.Requests == r.opts.target(wl.idx) {
+			r.unmet--
+		}
 		if wl.stats.Requests == 1 {
 			wl.stats.FirstCompleteAt = now
 		}

@@ -299,10 +299,10 @@ func validateWindows(name string, ws []Window, needFactor bool) error {
 
 // openLoop reports whether requests arrive over time (Poisson draws or an
 // explicit schedule) rather than back-to-back the moment the core frees up.
-func (o Options) openLoop() bool { return o.ArrivalRateHz > 0 || o.ArrivalCycles != nil }
+func (o *Options) openLoop() bool { return o.ArrivalRateHz > 0 || o.ArrivalCycles != nil }
 
 // target returns how many requests workload i must serve before the run ends.
-func (o Options) target(i int) int {
+func (o *Options) target(i int) int {
 	if o.ArrivalCycles != nil {
 		return len(o.ArrivalCycles[i])
 	}

@@ -49,7 +49,7 @@ type Op struct {
 }
 
 // Eff returns the operator's efficiency with the zero-value defaulting to 1.
-func (o Op) Eff() float64 {
+func (o *Op) Eff() float64 {
 	if o.Efficiency <= 0 || o.Efficiency > 1 {
 		return 1
 	}
@@ -57,7 +57,7 @@ func (o Op) Eff() float64 {
 }
 
 // Duration returns the operator's uncontended duration in cycles.
-func (o Op) Duration() int64 { return o.Stall + o.Compute }
+func (o *Op) Duration() int64 { return o.Stall + o.Compute }
 
 // Graph is the operator DAG for one inference request.
 type Graph struct {
@@ -97,8 +97,8 @@ func (g *Graph) Validate() error {
 // back-to-back on a single-tenant core (the compiled sequential schedule).
 func (g *Graph) SerialCycles() int64 {
 	var t int64
-	for _, op := range g.Ops {
-		t += op.Duration()
+	for i := range g.Ops {
+		t += g.Ops[i].Duration()
 	}
 	return t
 }
